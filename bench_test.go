@@ -1,10 +1,10 @@
-// Benchmark harness: one benchmark family per experiment in DESIGN.md
-// (EXP-A .. EXP-I). The paper (a SIGMOD SRC abstract) has no numbered
-// tables or figures; these benchmarks quantify its claims — incremental
-// maintenance vs full recomputation, fine-grained property updates (FGN),
-// transitive/path maintenance (ORD), schema pushdown, and Rete node
-// sharing. cmd/pgivbench renders the same experiments as tables for
-// EXPERIMENTS.md.
+// Benchmark harness: one benchmark family per experiment in
+// EXPERIMENTS.md (EXP-A .. EXP-I). The paper (a SIGMOD SRC abstract) has
+// no numbered tables or figures; these benchmarks quantify its claims —
+// incremental maintenance vs full recomputation, fine-grained property
+// updates (FGN), transitive/path maintenance (ORD), schema pushdown, and
+// Rete node sharing. cmd/pgivbench renders the same experiments as
+// tables for EXPERIMENTS.md.
 package pgiv
 
 import (

@@ -1,4 +1,4 @@
-// Command pgivbench runs the experiment suite of DESIGN.md
+// Command pgivbench runs the experiment suite of EXPERIMENTS.md
 // (EXP-A..EXP-S) and prints one table per experiment; EXPERIMENTS.md
 // embeds its output. With -json <path> it additionally writes every
 // recorded figure as machine-readable JSON — the perf trajectory files

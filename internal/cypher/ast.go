@@ -381,6 +381,14 @@ func ContainsAggregate(e Expr) bool {
 	return found
 }
 
+// Conjuncts flattens an AND tree into its conjunct list, left to right.
+func Conjuncts(e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
 // WalkExpr invokes fn on e and every subexpression, pre-order.
 func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {

@@ -516,6 +516,59 @@ func (g *Graph) EdgesByType(typ string) []*Edge {
 	return out
 }
 
+// streamExtent calls fn for every element of the map pick selects, until
+// fn returns false. The element pointers are copied out under the read
+// lock and fn runs outside it, so it may read the graph freely (the
+// ForEachOutEdge discipline); the copy lives in a pooled buffer, which
+// keeps a scan allocation-free in steady state.
+func streamExtent[T any](g *Graph, pool *sync.Pool, pick func() map[ID]*T, fn func(*T) bool) {
+	buf := pool.Get().(*[]*T)
+	xs := (*buf)[:0]
+	g.mu.RLock()
+	for _, x := range pick() {
+		xs = append(xs, x)
+	}
+	g.mu.RUnlock()
+	for _, x := range xs {
+		if !fn(x) {
+			break
+		}
+	}
+	clear(xs) // the pool must not pin removed elements
+	*buf = xs
+	pool.Put(buf)
+}
+
+var (
+	vertexBufs = sync.Pool{New: func() any { return new([]*Vertex) }}
+	edgeBufs   = sync.Pool{New: func() any { return new([]*Edge) }}
+)
+
+// ForEachVertexByLabel invokes fn for every vertex carrying the label
+// ("" selects all) until fn returns false, in unspecified order and
+// without building or sorting the extent slice VerticesByLabel returns.
+// fn runs outside the graph's internal lock over the extent as it stood
+// at call time; it must not mutate the graph.
+func (g *Graph) ForEachVertexByLabel(label string, fn func(*Vertex) bool) {
+	streamExtent(g, &vertexBufs, func() map[ID]*Vertex {
+		if label == "" {
+			return g.vertices
+		}
+		return g.byLabel[label]
+	}, fn)
+}
+
+// ForEachEdgeByType is ForEachVertexByLabel for the edges of a type (""
+// selects all).
+func (g *Graph) ForEachEdgeByType(typ string, fn func(*Edge) bool) {
+	streamExtent(g, &edgeBufs, func() map[ID]*Edge {
+		if typ == "" {
+			return g.edges
+		}
+		return g.byType[typ]
+	}, fn)
+}
+
 // OutEdges returns the outgoing edges of the vertex, optionally filtered
 // by type ("" selects all), sorted by edge ID. The result is an
 // immutable snapshot of the adjacency index at call time: callers must

@@ -30,6 +30,13 @@ type Reader interface {
 	NumEdges() int
 	VerticesByLabel(label string) []*Vertex
 	EdgesByType(typ string) []*Edge
+	// ForEachVertexByLabel and ForEachEdgeByType stream an extent (""
+	// selects all) to fn until it returns false, without materialising
+	// the slice their ...ByLabel/...ByType counterparts return. The order
+	// is unspecified: consumers that need ascending IDs sort what they
+	// keep.
+	ForEachVertexByLabel(label string, fn func(*Vertex) bool)
+	ForEachEdgeByType(typ string, fn func(*Edge) bool)
 	OutEdges(id ID, typ string) []*Edge
 	InEdges(id ID, typ string) []*Edge
 	ForEachOutEdge(id ID, typ string, fn func(*Edge) bool)
@@ -534,6 +541,33 @@ func (s *Snapshot) EdgesByType(typ string) []*Edge {
 		return true
 	})
 	return out
+}
+
+// ForEachVertexByLabel invokes fn for every vertex carrying the label
+// ("" selects all) until fn returns false. It walks the epoch's trie in
+// place — ascending ID order, no extent slice.
+func (s *Snapshot) ForEachVertexByLabel(label string, fn func(*Vertex) bool) {
+	if label == "" {
+		s.st.vertices.ascend(func(_ ID, v *Vertex) bool { return fn(v) })
+		return
+	}
+	s.st.byLabel[label].ascend(func(id ID, _ struct{}) bool {
+		v, ok := s.st.vertices.get(id)
+		return !ok || fn(v)
+	})
+}
+
+// ForEachEdgeByType is ForEachVertexByLabel for the edges of a type (""
+// selects all).
+func (s *Snapshot) ForEachEdgeByType(typ string, fn func(*Edge) bool) {
+	if typ == "" {
+		s.st.edges.ascend(func(_ ID, e *Edge) bool { return fn(e) })
+		return
+	}
+	s.st.byType[typ].ascend(func(id ID, _ struct{}) bool {
+		e, ok := s.st.edges.get(id)
+		return !ok || fn(e)
+	})
 }
 
 func (s *Snapshot) adjIDs(m pvec[*sadj], id ID, typ string) []ID {

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -394,5 +395,73 @@ func TestLazyMVCCActivation(t *testing.T) {
 	}
 	if got, want := readerDigest(snap), readerDigest(g); got != want {
 		t.Fatalf("on-demand store diverges:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestStreamedExtentsMatchSlices: after random transactions the streaming
+// iterators visit exactly the elements VerticesByLabel / EdgesByType
+// return — the snapshot in the same ascending order, the live graph in
+// any order — they stop when told to, and the callback may read the graph
+// (and start another scan) while one is in progress.
+func TestStreamedExtentsMatchSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := New()
+	for round := 0; round < 200; round++ {
+		tx := g.Begin()
+		for n := rng.Intn(5) + 1; n > 0; n-- {
+			randomMutation(rng, g, tx)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := g.Snapshot()
+	defer snap.Release()
+	for name, r := range map[string]Reader{"live": g, "snapshot": snap} {
+		ordered := name == "snapshot"
+		for _, label := range append(r.Labels(), "", "Nope") {
+			var got []ID
+			r.ForEachVertexByLabel(label, func(v *Vertex) bool {
+				if _, ok := r.VertexByID(v.ID); !ok {
+					t.Errorf("%s: streamed vertex %d is not readable", name, v.ID)
+				}
+				got = append(got, v.ID)
+				return true
+			})
+			var want []ID
+			for _, v := range r.VerticesByLabel(label) {
+				want = append(want, v.ID)
+			}
+			checkSameIDs(t, fmt.Sprintf("%s vertices %q", name, label), got, want, ordered)
+		}
+		for _, typ := range append(r.EdgeTypes(), "", "Nope") {
+			var got []ID
+			r.ForEachEdgeByType(typ, func(e *Edge) bool {
+				nested := 0
+				r.ForEachEdgeByType(typ, func(*Edge) bool { nested++; return nested < 2 })
+				got = append(got, e.ID)
+				return true
+			})
+			var want []ID
+			for _, e := range r.EdgesByType(typ) {
+				want = append(want, e.ID)
+			}
+			checkSameIDs(t, fmt.Sprintf("%s edges %q", name, typ), got, want, ordered)
+		}
+		seen := 0
+		r.ForEachVertexByLabel("", func(*Vertex) bool { seen++; return seen < 3 })
+		if seen != 3 {
+			t.Errorf("%s: scan visited %d vertices after being told to stop at 3", name, seen)
+		}
+	}
+}
+
+func checkSameIDs(t *testing.T, what string, got, want []ID, ordered bool) {
+	t.Helper()
+	if !ordered {
+		got = slices.Sorted(slices.Values(got))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: streamed %v, slice %v", what, got, want)
 	}
 }

@@ -249,6 +249,7 @@ func (e *Engine) registerLocked(name, query string, params map[string]value.Valu
 	if _, exists := e.views[name]; exists {
 		return nil, fmt.Errorf("ivm: view %q already registered", name)
 	}
+	e.qs.cands.Store(nil) // the set of memos is about to change
 	ast, err := cypher.Parse(query)
 	if err != nil {
 		return nil, err
@@ -340,6 +341,7 @@ func (e *Engine) dropLocked(name string) error {
 	if !ok {
 		return fmt.Errorf("ivm: view %q is not registered", name)
 	}
+	e.qs.cands.Store(nil) // the set of memos is about to change
 	if v.subID != 0 {
 		v.network.Prod.Unsubscribe(v.subID)
 	}

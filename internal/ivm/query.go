@@ -8,6 +8,7 @@ import (
 	"pgiv/internal/rete"
 	"pgiv/internal/rewrite"
 	"pgiv/internal/snapshot"
+	"pgiv/internal/stmt"
 	"pgiv/internal/value"
 )
 
@@ -42,6 +43,14 @@ type queryState struct {
 	stResidOps atomic.Uint64
 	stMiss     atomic.Uint64
 	stFallback atomic.Uint64
+
+	// cands is the candidate list handed to the rewrite planner, built on
+	// the first read after a registration or drop and shared by every
+	// read until the next one: the planner keeps its per-memo derivation
+	// inside the candidates (see rewrite.Candidate), so the list must
+	// outlive a single query for that to pay. Built under e.mu.RLock and
+	// reset under e.mu.Lock, so a stale list is never installed.
+	cands atomic.Pointer[[]rewrite.Candidate]
 
 	// rewriteHook, when non-nil, runs between memo selection and residual
 	// evaluation on every rewrite-served read (test seam for the
@@ -80,13 +89,16 @@ func (e *Engine) EnableRewrite() {
 	e.qs.rewriteOn.Store(true)
 }
 
-// rewriteCandidates snapshots the live memoized productions as rewrite
-// candidates. Row access goes through Production.Published(), the
-// wait-free epoch-stamped path, so candidate evaluation never touches
-// engine or graph locks.
+// rewriteCandidates returns the live memoized productions as rewrite
+// candidates, rebuilt only after the set of views changed. Row access
+// goes through Production.Published(), the wait-free epoch-stamped path,
+// so candidate evaluation never touches engine or graph locks.
 func (e *Engine) rewriteCandidates() []rewrite.Candidate {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if cached := e.qs.cands.Load(); cached != nil {
+		return *cached
+	}
 	names := make(map[*rete.Production]string, len(e.viewList))
 	for _, v := range e.viewList {
 		if _, ok := names[v.network.Prod]; !ok {
@@ -112,6 +124,7 @@ func (e *Engine) rewriteCandidates() []rewrite.Candidate {
 			},
 		})
 	}
+	e.qs.cands.Store(&out)
 	return out
 }
 
@@ -126,7 +139,7 @@ func (e *Engine) Query(query string) (*snapshot.Result, uint64, error) {
 
 // QueryParams is Query with parameters.
 func (e *Engine) QueryParams(query string, params map[string]value.Value) (*snapshot.Result, uint64, error) {
-	plan, err := fra.CompileString(query)
+	plan, err := stmt.Read(query)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -107,3 +107,49 @@ func TestDropViewDuringRewriteRead(t *testing.T) {
 		}
 	}
 }
+
+// TestRewriteCandidatesFollowRegistrations: the engine keeps its candidate
+// list between queries (the planner's per-memo derivation lives in it), so
+// the list must be rebuilt whenever a view is registered or dropped — a
+// dropped memo must stop answering and a new one must start.
+func TestRewriteCandidatesFollowRegistrations(t *testing.T) {
+	g := graph.New()
+	engine := ivm.NewEngine(g, ivm.Options{NumWorkers: 1})
+	defer engine.Close()
+	if err := g.Batch(func(tx *graph.Tx) error {
+		for i := 0; i < 6; i++ {
+			tx.AddVertex([]string{"Post"}, map[string]value.Value{"score": value.NewInt(int64(i))})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const q = "MATCH (p:Post) WHERE p.score > 3 RETURN p"
+	query := func(wantHits, wantMisses uint64) {
+		t.Helper()
+		res, _, err := engine.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("%d rows, want 2", len(res.Rows))
+		}
+		if st := engine.Stats(); st.RewriteExact != wantHits || st.RewriteMiss != wantMisses {
+			t.Fatalf("stats %+v, want %d exact hits and %d misses", st, wantHits, wantMisses)
+		}
+	}
+	query(0, 1) // no views yet: the (empty) candidate list is now cached
+	if _, err := engine.RegisterView("posts", q); err != nil {
+		t.Fatal(err)
+	}
+	query(1, 1)
+	query(2, 1)
+	if err := engine.DropView("posts"); err != nil {
+		t.Fatal(err)
+	}
+	query(2, 2)
+	if _, err := engine.RegisterView("posts-again", q); err != nil {
+		t.Fatal(err)
+	}
+	query(3, 2)
+}

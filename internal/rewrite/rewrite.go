@@ -18,6 +18,7 @@ package rewrite
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"pgiv/internal/fra"
 	"pgiv/internal/graph"
@@ -31,11 +32,30 @@ import (
 // Rows returns the memo's published rows and their epoch (ok == false
 // when the production has never published — e.g. a view registered in a
 // serialized-reads server that never Watch()ed it).
+//
+// Plan and Params must not change once the candidate has been offered to
+// Match: the planner's memo-side derivation (fingerprints, spine, leaf
+// set) is computed on first use and kept in the candidate. A caller that
+// keeps its candidate slice across queries therefore pays it once per
+// memo, not once per query.
 type Candidate struct {
 	Name   string
 	Plan   nra.Op
 	Params map[string]value.Value
 	Rows   func() (rows []value.Row, epoch uint64, ok bool)
+
+	memo atomic.Pointer[memoSide]
+}
+
+// memoSide returns the candidate's memo-side derivation, computing it on
+// first use. Concurrent first uses may each compute it; they agree.
+func (c *Candidate) memoSide() *memoSide {
+	if m := c.memo.Load(); m != nil {
+		return m
+	}
+	m := newMemoSide(c.Plan, c.Params)
+	c.memo.Store(m)
+	return m
 }
 
 // Plan is a compiled rewrite: evaluate Residual with Leaf answered from
@@ -55,15 +75,19 @@ type Plan struct {
 // count scaled by residual operator count; ties keep the earliest
 // candidate (registration order).
 func Match(q *fra.Plan, qParams map[string]value.Value, cands []Candidate) *Plan {
+	if len(cands) == 0 {
+		return nil
+	}
 	var best *Plan
 	bestCost := 0
+	qs := newQuerySide(q, qParams)
 	for i := range cands {
 		c := &cands[i]
 		rows, _, ok := c.Rows()
 		if !ok {
 			continue
 		}
-		p, ok := Subsumes(c.Plan, c.Params, q, qParams)
+		p, ok := subsumes(c.memoSide(), qs)
 		if !ok {
 			continue
 		}

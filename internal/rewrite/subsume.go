@@ -29,22 +29,106 @@ import (
 //     re-applies the query-only filters, projection, dedup and top over
 //     the memo rows.
 func Subsumes(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, qParams map[string]value.Value) (*Plan, bool) {
+	return subsumes(newMemoSide(memoPlan, memoParams), newQuerySide(q, qParams))
+}
+
+func subsumes(m *memoSide, q *querySide) (*Plan, bool) {
+	// Both strategies equate a memo subtree holding every memo leaf with a
+	// query subtree, so a memo leaf the query lacks rules the memo out.
+	for _, l := range m.leaves {
+		if !q.leaves[l] {
+			return nil, false
+		}
+	}
 	var best *Plan
 	consider := func(p *Plan) {
 		if p != nil && (best == nil || p.Ops < best.Ops) {
 			best = p
 		}
 	}
-	consider(subtreeHit(memoPlan, memoParams, q, qParams))
-	consider(spineHit(memoPlan, memoParams, q, qParams))
+	consider(subtreeHit(m, q))
+	consider(spineHit(m, q))
 	return best, best != nil
+}
+
+// memoSide is what the planner derives from a memoized plan and its
+// registration parameters alone. Neither changes while the production
+// lives, so a Candidate computes it once.
+type memoSide struct {
+	params map[string]value.Value
+	fp     string   // fingerprint of the whole plan
+	leaves []string // fingerprints of its base operators
+	sp     spine
+	coreFP string   // fingerprint of sp.core, or of sp.top.Input for a window memo
+	conj   []string // canonical rendering of each sp.conj
+}
+
+func newMemoSide(plan nra.Op, params map[string]value.Value) *memoSide {
+	f := fra.NewFingerprinter(params)
+	m := &memoSide{params: params, fp: f.Fingerprint(plan), sp: decompose(plan)}
+	leafFingerprints(f, plan, func(fp string) { m.leaves = append(m.leaves, fp) })
+	if m.sp.top != nil {
+		m.coreFP = f.Fingerprint(m.sp.top.Input)
+	} else {
+		m.coreFP = f.Fingerprint(m.sp.core)
+	}
+	m.conj = make([]string, len(m.sp.conj))
+	for i, c := range m.sp.conj {
+		m.conj[i] = fra.CanonExpr(c, params)
+	}
+	return m
+}
+
+// querySide is the same derivation for the query, made once per Match
+// and shared by every candidate; the fingerprinter memoizes per operator,
+// so each query subtree is rendered at most once however many memos are
+// tried against it.
+type querySide struct {
+	plan   *fra.Plan
+	params map[string]value.Value
+	f      *fra.Fingerprinter
+	leaves map[string]bool
+	sp     spine
+	conj   []string // canonical rendering of each sp.conj; see rendered
+}
+
+func newQuerySide(q *fra.Plan, params map[string]value.Value) *querySide {
+	qs := &querySide{plan: q, params: params, f: fra.NewFingerprinter(params),
+		leaves: make(map[string]bool), sp: decompose(q.Root)}
+	leafFingerprints(qs.f, q.Root, func(fp string) { qs.leaves[fp] = true })
+	return qs
+}
+
+// rendered returns the canonical rendering of the query's spine
+// conjuncts, made when the first memo with a matching core asks for it —
+// a query no memo comes close to never pays for it.
+func (q *querySide) rendered() []string {
+	if q.conj == nil {
+		q.conj = make([]string, len(q.sp.conj))
+		for i, c := range q.sp.conj {
+			q.conj[i] = fra.CanonExpr(c, q.params)
+		}
+	}
+	return q.conj
+}
+
+// leafFingerprints reports the fingerprint of every base operator
+// (childless node) under op.
+func leafFingerprints(f *fra.Fingerprinter, op nra.Op, add func(string)) {
+	kids := op.Children()
+	if len(kids) == 0 {
+		add(f.Fingerprint(op))
+		return
+	}
+	for _, c := range kids {
+		leafFingerprints(f, c, add)
+	}
 }
 
 // subtreeHit scans the query plan for a subtree with the memo's exact
 // fingerprint.
-func subtreeHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, qParams map[string]value.Value) *Plan {
-	memoFP := fra.Fingerprint(memoPlan, memoParams)
-	qf := fra.NewFingerprinter(qParams)
+func subtreeHit(m *memoSide, qs *querySide) *Plan {
+	q := qs.plan
 	var found nra.Op
 	var walk func(op nra.Op)
 	walk = func(op nra.Op) {
@@ -53,7 +137,7 @@ func subtreeHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan,
 		}
 		// Prefer the shallowest (largest-cover) match: check op before
 		// descending.
-		if qf.Fingerprint(op) == memoFP {
+		if qs.f.Fingerprint(op) == m.fp {
 			if op == q.Root {
 				if _, isTop := op.(*nra.Top); isTop {
 					// Published rows are in canonical bag order, not rank
@@ -112,30 +196,22 @@ func decompose(root nra.Op) spine {
 		if !ok {
 			break
 		}
-		s.conj = append(s.conj, conjuncts(sel.Cond)...)
+		s.conj = append(s.conj, cypher.Conjuncts(sel.Cond)...)
 		op = sel.Input
 	}
 	s.core = op
 	return s
 }
 
-// conjuncts flattens an AND tree into its conjunct list.
-func conjuncts(e cypher.Expr) []cypher.Expr {
-	if b, ok := e.(*cypher.Binary); ok && b.Op == cypher.OpAnd {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	return []cypher.Expr{e}
-}
-
-func spineHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, qParams map[string]value.Value) *Plan {
-	ms := decompose(memoPlan)
-	qs := decompose(q.Root)
+func spineHit(m *memoSide, q *querySide) *Plan {
+	ms, qs := m.sp, q.sp
+	memoParams, qParams := m.params, q.params
 
 	if ms.top != nil {
-		return windowHit(ms, memoParams, qs, qParams, q)
+		return windowHit(m, q)
 	}
 	// Cores must compute the same relation.
-	if fra.Fingerprint(ms.core, memoParams) != fra.Fingerprint(qs.core, qParams) {
+	if m.coreFP != q.f.Fingerprint(qs.core) {
 		return nil
 	}
 	// Dedup compatibility: a deduplicated memo lost multiplicities the
@@ -146,15 +222,11 @@ func spineHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, q
 
 	// Conjunct implication: every memo filter must be implied by some
 	// query filter, else the memo is missing rows the query wants.
-	qRender := make([]string, len(qs.conj))
-	for i, c := range qs.conj {
-		qRender[i] = fra.CanonExpr(c, qParams)
-	}
-	for _, mc := range ms.conj {
-		mr := fra.CanonExpr(mc, memoParams)
+	qRender := q.rendered()
+	for j, mc := range ms.conj {
 		implied := false
 		for i, qc := range qs.conj {
-			if qRender[i] == mr || impliesRange(qc, qParams, mc, memoParams) {
+			if qRender[i] == m.conj[j] || impliesRange(qc, qParams, mc, memoParams) {
 				implied = true
 				break
 			}
@@ -165,13 +237,16 @@ func spineHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, q
 	}
 	// Residual filters: query conjuncts not already enforced verbatim by
 	// the memo (a strictly stronger query conjunct re-applies).
-	mRender := make(map[string]bool, len(ms.conj))
-	for _, mc := range ms.conj {
-		mRender[fra.CanonExpr(mc, memoParams)] = true
-	}
 	var resid []cypher.Expr
 	for i, qc := range qs.conj {
-		if !mRender[qRender[i]] {
+		verbatim := false
+		for _, mr := range m.conj {
+			if mr == qRender[i] {
+				verbatim = true
+				break
+			}
+		}
+		if !verbatim {
 			resid = append(resid, qc)
 		}
 	}
@@ -247,9 +322,9 @@ func spineHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, q
 	if ops == 0 && ms.proj == nil {
 		// Nothing to do: memo and query are the same Select*(core) modulo
 		// conjunct order.
-		return &Plan{Leaf: leaf, Residual: leaf, Out: q.OutSchema, Ops: 0, Exact: true}
+		return &Plan{Leaf: leaf, Residual: leaf, Out: q.plan.OutSchema, Ops: 0, Exact: true}
 	}
-	return &Plan{Leaf: leaf, Residual: tree, Out: q.OutSchema, Ops: ops, Exact: false}
+	return &Plan{Leaf: leaf, Residual: tree, Out: q.plan.OutSchema, Ops: ops, Exact: false}
 }
 
 // windowHit covers a query window from a memoized ORDER BY/SKIP/LIMIT
@@ -259,11 +334,13 @@ func spineHit(memoPlan nra.Op, memoParams map[string]value.Value, q *fra.Plan, q
 // [mskip, mskip+mlimit) of the shared sorted sequence (published as a
 // bag); re-sorting them with the shared total order and slicing at the
 // rank delta reproduces the query window exactly.
-func windowHit(ms spine, memoParams map[string]value.Value, qs spine, qParams map[string]value.Value, q *fra.Plan) *Plan {
+func windowHit(m *memoSide, q *querySide) *Plan {
+	ms, qs := m.sp, q.sp
+	memoParams, qParams := m.params, q.params
 	if qs.top == nil {
 		return nil // a truncated window cannot serve an un-windowed query
 	}
-	if fra.Fingerprint(ms.top.Input, memoParams) != fra.Fingerprint(qs.top.Input, qParams) {
+	if m.coreFP != q.f.Fingerprint(qs.top.Input) {
 		return nil
 	}
 	if len(ms.top.Items) != len(qs.top.Items) {
@@ -300,7 +377,7 @@ func windowHit(ms spine, memoParams map[string]value.Value, qs spine, qParams ma
 		Skip:  &cypher.Literal{Val: value.NewInt(int64(qSkip - mSkip))},
 		Limit: limit,
 	}
-	return &Plan{Leaf: leaf, Residual: residual, Out: q.OutSchema, Ops: 1, Exact: false}
+	return &Plan{Leaf: leaf, Residual: residual, Out: q.plan.OutSchema, Ops: 1, Exact: false}
 }
 
 // window evaluates a Top's constant skip/limit; limit -1 means

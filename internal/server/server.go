@@ -37,12 +37,12 @@ import (
 	"sync"
 	"time"
 
-	"pgiv/internal/cypher"
 	"pgiv/internal/graph"
 	"pgiv/internal/ivm"
 	"pgiv/internal/protocol"
 	"pgiv/internal/rete"
 	"pgiv/internal/snapshot"
+	"pgiv/internal/stmt"
 	"pgiv/internal/value"
 	"pgiv/internal/write"
 )
@@ -461,12 +461,12 @@ func (s *Server) handle(c *conn, req *protocol.Request) *protocol.Response {
 }
 
 func (s *Server) handleExec(req *protocol.Request) *protocol.Response {
-	stmt, err := cypher.ParseStatement(req.Text)
+	w, err := stmt.Write(req.Text)
+	if errors.Is(err, stmt.ErrNotWrite) {
+		return errResp(req.ID, "server: exec requires a write statement; use query for reads")
+	}
 	if err != nil {
 		return errResp(req.ID, "%v", err)
-	}
-	if !stmt.IsWrite() {
-		return errResp(req.ID, "server: exec requires a write statement; use query for reads")
 	}
 	params, err := protocol.DecodeParams(req.Params)
 	if err != nil {
@@ -475,7 +475,7 @@ func (s *Server) handleExec(req *protocol.Request) *protocol.Response {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	before := s.lastSeq
-	st, err := write.ExecStatement(s.g, stmt.Write, params)
+	st, err := write.ExecPrepared(s.g, w, params)
 	if err != nil {
 		return errResp(req.ID, "%v", err)
 	}

@@ -93,7 +93,7 @@ func FinalizeAgg(fn string, star bool, vals []value.Value, rowCount int64) (valu
 }
 
 func (ev *evaluator) evalAggregate(o *nra.Aggregate) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+	in, err := ev.eval(o.Input, access{})
 	if err != nil {
 		return nil, err
 	}

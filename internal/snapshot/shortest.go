@@ -199,8 +199,8 @@ func ShortestPathEnum(g graph.Reader, src graph.ID, spec *ShortestPathSpec, emit
 	}
 }
 
-func (ev *evaluator) evalShortestPath(o *nra.ShortestPath) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalShortestPath(o *nra.ShortestPath, a access) ([]value.Row, error) {
+	in, err := ev.evalInput(o.Input, a)
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ import (
 	"pgiv/internal/graph"
 	"pgiv/internal/nra"
 	"pgiv/internal/schema"
+	"pgiv/internal/stmt"
 	"pgiv/internal/value"
 )
 
@@ -50,9 +51,10 @@ func (r *Result) Sorted() []value.Row {
 	return out
 }
 
-// Query parses, compiles and evaluates a query against g.
+// Query compiles a query (through the shared statement cache) and
+// evaluates it against g.
 func Query(g graph.Reader, query string, params map[string]value.Value) (*Result, error) {
-	plan, err := fra.CompileString(query)
+	plan, err := stmt.Read(query)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +64,7 @@ func Query(g graph.Reader, query string, params map[string]value.Value) (*Result
 // Eval evaluates a compiled plan against g.
 func Eval(g graph.Reader, plan *fra.Plan, params map[string]value.Value) (*Result, error) {
 	ev := &evaluator{g: g, params: params}
-	rows, err := ev.eval(plan.Root)
+	rows, err := ev.eval(plan.Root, access{})
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +79,7 @@ func Eval(g graph.Reader, plan *fra.Plan, params map[string]value.Value) (*Resul
 // the memo's publish epoch.
 func EvalWithRows(g graph.Reader, root nra.Op, out schema.Schema, leaf nra.Op, leafRows []value.Row, params map[string]value.Value) (*Result, error) {
 	ev := &evaluator{g: g, params: params, leaf: leaf, leafRows: leafRows}
-	rows, err := ev.eval(root)
+	rows, err := ev.eval(root, access{})
 	if err != nil {
 		return nil, err
 	}
@@ -96,117 +98,62 @@ func (ev *evaluator) compile(e cypher.Expr, s schema.Schema) (expr.Fn, error) {
 	return expr.Compile(e, s, ev.params)
 }
 
-func (ev *evaluator) eval(op nra.Op) ([]value.Row, error) {
+// eval evaluates op under the demand a of the operators above it (see
+// access.go). Selections extend the demand; the operators that keep
+// their input's rows and columns pass it on to the side binding each
+// restricted attribute; every other operator evaluates its input
+// undemanded.
+func (ev *evaluator) eval(op nra.Op, a access) ([]value.Row, error) {
 	if ev.leaf != nil && op == ev.leaf {
-		return ev.leafRows, nil
+		return restrictRows(ev.leafRows, op.Schema(), a), nil
 	}
 	switch o := op.(type) {
 	case *nra.Unit:
 		return []value.Row{{}}, nil
 	case *nra.GetVertices:
-		return ev.evalGetVertices(o), nil
+		return ev.scanVertices(o, a), nil
 	case *nra.GetEdges:
-		return ev.evalGetEdges(o), nil
+		return ev.scanEdges(o, a), nil
 	case *nra.TransitiveJoin:
-		return ev.evalTransitiveJoin(o)
+		return ev.evalTransitiveJoin(o, a)
 	case *nra.ShortestPath:
-		return ev.evalShortestPath(o)
+		return ev.evalShortestPath(o, a)
 	case *nra.Join:
-		return ev.evalJoin(o)
+		return ev.evalJoin(o, a)
 	case *nra.LeftOuterJoin:
-		return ev.evalLeftOuterJoin(o)
+		return ev.evalLeftOuterJoin(o, a)
 	case *nra.SemiJoin:
-		return ev.evalSemiJoin(o.L, o.R, false)
+		return ev.evalSemiJoin(o.L, o.R, false, a)
 	case *nra.AntiJoin:
-		return ev.evalSemiJoin(o.L, o.R, true)
+		return ev.evalSemiJoin(o.L, o.R, true, a)
 	case *nra.Select:
-		return ev.evalSelect(o)
+		return ev.evalSelect(o, a)
 	case *nra.Project:
 		return ev.evalProject(o)
 	case *nra.Dedup:
 		return ev.evalDedup(o)
 	case *nra.AllDifferent:
-		return ev.evalAllDifferent(o)
+		return ev.evalAllDifferent(o, a)
 	case *nra.PathBuild:
-		return ev.evalPathBuild(o)
+		return ev.evalPathBuild(o, a)
 	case *nra.Aggregate:
 		return ev.evalAggregate(o)
 	case *nra.Unwind:
-		return ev.evalUnwind(o)
+		return ev.evalUnwind(o, a)
 	case *nra.Top:
 		return ev.evalTop(o)
 	}
 	return nil, fmt.Errorf("snapshot: unsupported operator %T", op)
 }
 
-func vertexMatches(v *graph.Vertex, labels []string) bool {
-	for _, l := range labels {
-		if !v.HasLabel(l) {
-			return false
-		}
+// evalInput evaluates the input of an operator that extends each input
+// row with further columns: a demand on the input's own attributes holds
+// for the input rows unchanged.
+func (ev *evaluator) evalInput(in nra.Op, a access) ([]value.Row, error) {
+	if len(a.ids) > 0 {
+		a = a.within(in.Schema())
 	}
-	return true
-}
-
-func (ev *evaluator) evalGetVertices(o *nra.GetVertices) []value.Row {
-	primary := ""
-	if len(o.Labels) > 0 {
-		primary = o.Labels[0]
-	}
-	var rows []value.Row
-	for _, v := range ev.g.VerticesByLabel(primary) {
-		if !vertexMatches(v, o.Labels) {
-			continue
-		}
-		row := make(value.Row, 0, 1+len(o.Props))
-		row = append(row, value.NewVertex(v.ID))
-		for _, p := range o.Props {
-			row = append(row, v.Prop(p.Key))
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// edgeRow builds a GetEdges output row for one orientation (a → b).
-func edgeRow(o *nra.GetEdges, a, b *graph.Vertex, e *graph.Edge) value.Row {
-	row := make(value.Row, 0, 3+len(o.AProps)+len(o.EProps)+len(o.BProps))
-	row = append(row, value.NewVertex(a.ID), value.NewEdge(e.ID), value.NewVertex(b.ID))
-	for _, p := range o.AProps {
-		row = append(row, a.Prop(p.Key))
-	}
-	for _, p := range o.EProps {
-		row = append(row, e.Prop(p.Key))
-	}
-	for _, p := range o.BProps {
-		row = append(row, b.Prop(p.Key))
-	}
-	return row
-}
-
-func (ev *evaluator) evalGetEdges(o *nra.GetEdges) []value.Row {
-	types := o.Types
-	if len(types) == 0 {
-		types = []string{""}
-	}
-	var rows []value.Row
-	for _, t := range types {
-		for _, e := range ev.g.EdgesByType(t) {
-			src, okS := ev.g.VertexByID(e.Src)
-			trg, okT := ev.g.VertexByID(e.Trg)
-			if !okS || !okT {
-				continue
-			}
-			if vertexMatches(src, o.ALabels) && vertexMatches(trg, o.BLabels) {
-				rows = append(rows, edgeRow(o, src, trg, e))
-			}
-			if o.Undirected && e.Src != e.Trg &&
-				vertexMatches(trg, o.ALabels) && vertexMatches(src, o.BLabels) {
-				rows = append(rows, edgeRow(o, trg, src, e))
-			}
-		}
-	}
-	return rows
+	return ev.eval(in, a)
 }
 
 // PathEnum enumerates edge-distinct paths from a source vertex following
@@ -283,8 +230,8 @@ func forEachExpansionStep(g graph.Reader, cur graph.ID, types []string, dir cyph
 	}
 }
 
-func (ev *evaluator) evalTransitiveJoin(o *nra.TransitiveJoin) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalTransitiveJoin(o *nra.TransitiveJoin, a access) ([]value.Row, error) {
+	in, err := ev.evalInput(o.Input, a)
 	if err != nil {
 		return nil, err
 	}
@@ -314,16 +261,17 @@ func (ev *evaluator) evalTransitiveJoin(o *nra.TransitiveJoin) ([]value.Row, err
 	return rows, nil
 }
 
-func (ev *evaluator) evalJoin(o *nra.Join) ([]value.Row, error) {
-	left, err := ev.eval(o.L)
+func (ev *evaluator) evalJoin(o *nra.Join, a access) ([]value.Row, error) {
+	ls, rs := o.L.Schema(), o.R.Schema()
+	left, err := ev.eval(o.L, a.and(ev.guaranteed(o.R)).within(ls))
 	if err != nil {
 		return nil, err
 	}
-	right, err := ev.eval(o.R)
+	right, err := ev.eval(o.R, a.and(ev.guaranteed(o.L)).within(rs))
 	if err != nil {
 		return nil, err
 	}
-	lIdx, rIdx, rKeep := schema.JoinKeys(o.L.Schema(), o.R.Schema())
+	lIdx, rIdx, rKeep := schema.JoinKeys(ls, rs)
 	index := make(map[string][]value.Row)
 	var keyBuf []byte
 	for _, rr := range right {
@@ -355,16 +303,22 @@ func (ev *evaluator) evalJoin(o *nra.Join) ([]value.Row, error) {
 // row pairs with each of its matches in R on the shared attributes
 // (bag semantics — one output row per match); a matchless left row
 // survives once with R's non-shared attributes null-padded.
-func (ev *evaluator) evalLeftOuterJoin(o *nra.LeftOuterJoin) ([]value.Row, error) {
-	left, err := ev.eval(o.L)
+//
+// An id restriction also narrows R: a left row it turns matchless comes
+// out null-padded where it would have carried another element, and either
+// way id(v) = K is not true of it. Other conjuncts can be true of a
+// null-padded row, so they stay on the left.
+func (ev *evaluator) evalLeftOuterJoin(o *nra.LeftOuterJoin, a access) ([]value.Row, error) {
+	ls, rs := o.L.Schema(), o.R.Schema()
+	left, err := ev.eval(o.L, a.within(ls))
 	if err != nil {
 		return nil, err
 	}
-	right, err := ev.eval(o.R)
+	right, err := ev.eval(o.R, a.idsOnly().and(ev.guaranteed(o.L)).within(rs))
 	if err != nil {
 		return nil, err
 	}
-	lIdx, rIdx, rKeep := schema.JoinKeys(o.L.Schema(), o.R.Schema())
+	lIdx, rIdx, rKeep := schema.JoinKeys(ls, rs)
 	index := make(map[string][]value.Row)
 	var keyBuf []byte
 	for _, rr := range right {
@@ -403,17 +357,21 @@ func (ev *evaluator) evalLeftOuterJoin(o *nra.LeftOuterJoin) ([]value.Row, error
 }
 
 // evalSemiJoin implements semijoin (negate=false) and antijoin
-// (negate=true) on the shared attributes of L and R.
-func (ev *evaluator) evalSemiJoin(lop, rop nra.Op, negate bool) ([]value.Row, error) {
-	left, err := ev.eval(lop)
+// (negate=true) on the shared attributes of L and R. The output is a
+// subset of L, so the demand is on L; R shares in the id restrictions on
+// the attributes it is matched on.
+func (ev *evaluator) evalSemiJoin(lop, rop nra.Op, negate bool, a access) ([]value.Row, error) {
+	ls, rs := lop.Schema(), rop.Schema()
+	a = a.within(ls)
+	left, err := ev.eval(lop, a)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ev.eval(rop)
+	right, err := ev.eval(rop, a.idsOnly().and(ev.guaranteed(lop)).within(rs))
 	if err != nil {
 		return nil, err
 	}
-	lIdx, rIdx, _ := schema.JoinKeys(lop.Schema(), rop.Schema())
+	lIdx, rIdx, _ := schema.JoinKeys(ls, rs)
 	keys := make(map[string]bool)
 	var buf []byte
 	for _, rr := range right {
@@ -436,8 +394,8 @@ func (ev *evaluator) evalSemiJoin(lop, rop nra.Op, negate bool) ([]value.Row, er
 	return rows, nil
 }
 
-func (ev *evaluator) evalSelect(o *nra.Select) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalSelect(o *nra.Select, a access) ([]value.Row, error) {
+	in, err := ev.eval(o.Input, ev.under(a, o.Cond))
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +415,7 @@ func (ev *evaluator) evalSelect(o *nra.Select) ([]value.Row, error) {
 }
 
 func (ev *evaluator) evalProject(o *nra.Project) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+	in, err := ev.eval(o.Input, access{})
 	if err != nil {
 		return nil, err
 	}
@@ -483,7 +441,7 @@ func (ev *evaluator) evalProject(o *nra.Project) ([]value.Row, error) {
 }
 
 func (ev *evaluator) evalDedup(o *nra.Dedup) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+	in, err := ev.eval(o.Input, access{})
 	if err != nil {
 		return nil, err
 	}
@@ -529,8 +487,8 @@ func EdgesDisjoint(row value.Row, edgeIdx, pathIdx []int) bool {
 	return true
 }
 
-func (ev *evaluator) evalAllDifferent(o *nra.AllDifferent) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalAllDifferent(o *nra.AllDifferent, a access) ([]value.Row, error) {
+	in, err := ev.eval(o.Input, a)
 	if err != nil {
 		return nil, err
 	}
@@ -618,8 +576,8 @@ func BuildPath(row value.Row, items []PathItemRef) (*value.Path, bool) {
 	return p, true
 }
 
-func (ev *evaluator) evalPathBuild(o *nra.PathBuild) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalPathBuild(o *nra.PathBuild, a access) ([]value.Row, error) {
+	in, err := ev.evalInput(o.Input, a)
 	if err != nil {
 		return nil, err
 	}
@@ -641,8 +599,8 @@ func (ev *evaluator) evalPathBuild(o *nra.PathBuild) ([]value.Row, error) {
 	return rows, nil
 }
 
-func (ev *evaluator) evalUnwind(o *nra.Unwind) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+func (ev *evaluator) evalUnwind(o *nra.Unwind, a access) ([]value.Row, error) {
+	in, err := ev.evalInput(o.Input, a)
 	if err != nil {
 		return nil, err
 	}
@@ -718,7 +676,7 @@ func EvalConstN(e cypher.Expr, params map[string]value.Value, what string) (int,
 // items the canonical row order applies, so SKIP/LIMIT alone are
 // deterministic too.
 func (ev *evaluator) evalTop(o *nra.Top) ([]value.Row, error) {
-	in, err := ev.eval(o.Input)
+	in, err := ev.eval(o.Input, access{})
 	if err != nil {
 		return nil, err
 	}

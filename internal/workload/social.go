@@ -17,7 +17,7 @@
 // loading benchmarks compare against). Both paths produce byte-identical
 // graphs: IDs are assigned in the same order either way.
 //
-// Substitution note (see DESIGN.md): the original LDBC and Train
+// Substitution note: the original LDBC and Train
 // Benchmark generators are external Java/Hadoop tools; these native
 // generators reproduce the entity/edge structure and update
 // characteristics that the paper's claims depend on, not the exact

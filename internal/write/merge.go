@@ -2,6 +2,7 @@ package write
 
 import (
 	"fmt"
+	"slices"
 
 	"pgiv/internal/cypher"
 	"pgiv/internal/expr"
@@ -238,22 +239,80 @@ func (x *exec) matchPattern(nodes []nodeCons, rels []relCons) []patMatch {
 		}
 	}
 
-	first := nodes[0]
-	if first.bound {
-		ids[0] = first.boundID
-		step(0)
-		return out
-	}
-	primary := ""
-	if len(first.labels) > 0 {
-		primary = first.labels[0]
-	}
-	for _, v := range x.g.VerticesByLabel(primary) {
-		if !nodeSatisfies(v, first) {
-			continue
+	// Candidates for the first node, in ascending ID order: the bound
+	// vertex itself; else, when a later node is bound, only the vertices
+	// the chain can reach backwards from it; else the label's extent,
+	// streamed with the constraints checked inline so that only matching
+	// vertices are kept and sorted.
+	var starts []int64
+	switch anchor := firstBound(nodes); {
+	case anchor == 0:
+		starts = []int64{nodes[0].boundID}
+	case anchor > 0:
+		starts = x.reachBack(nodes, rels, anchor)
+	default:
+		first := nodes[0]
+		primary := ""
+		if len(first.labels) > 0 {
+			primary = first.labels[0]
 		}
-		ids[0] = v.ID
+		x.g.ForEachVertexByLabel(primary, func(v *graph.Vertex) bool {
+			if nodeSatisfies(v, first) {
+				starts = append(starts, v.ID)
+			}
+			return true
+		})
+	}
+	slices.Sort(starts)
+	for _, id := range starts {
+		ids[0] = id
 		step(0)
 	}
 	return out
+}
+
+// firstBound returns the position of the first bound node, or -1.
+func firstBound(nodes []nodeCons) int {
+	for i, n := range nodes {
+		if n.bound {
+			return i
+		}
+	}
+	return -1
+}
+
+// reachBack walks the constraint chain backwards from the bound node at
+// position anchor and returns the vertices that can stand at position 0.
+// It ignores relationship uniqueness, so it may return a vertex that
+// starts no match; the forward enumeration decides, and finds every
+// match because every match's first vertex is reachable this way.
+func (x *exec) reachBack(nodes []nodeCons, rels []relCons, anchor int) []int64 {
+	frontier := []int64{nodes[anchor].boundID}
+	for pos := anchor - 1; pos >= 0; pos-- {
+		rc, nc := rels[pos], nodes[pos]
+		seen := make(map[int64]bool)
+		var prev []int64
+		try := func(e *graph.Edge, other int64) bool {
+			if seen[other] || !edgeSatisfies(e, rc) {
+				return true
+			}
+			if v, ok := x.g.VertexByID(other); ok && nodeSatisfies(v, nc) {
+				seen[other] = true
+				prev = append(prev, other)
+			}
+			return true
+		}
+		for _, id := range frontier {
+			// rels[pos] leads from nodes[pos] to nodes[pos+1]: an outgoing
+			// relationship arrives at id as an in-edge.
+			if rc.dir == cypher.DirOut || rc.dir == cypher.DirBoth {
+				x.g.ForEachInEdge(id, rc.typ, func(e *graph.Edge) bool { return try(e, e.Src) })
+			}
+			if rc.dir == cypher.DirIn || rc.dir == cypher.DirBoth {
+				x.g.ForEachOutEdge(id, rc.typ, func(e *graph.Edge) bool { return try(e, e.Trg) })
+			}
+		}
+		frontier = prev
+	}
+	return frontier
 }

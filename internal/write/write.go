@@ -13,16 +13,17 @@
 package write
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"pgiv/internal/cypher"
 	"pgiv/internal/expr"
-	"pgiv/internal/fra"
 	"pgiv/internal/graph"
 	"pgiv/internal/schema"
 	"pgiv/internal/snapshot"
+	"pgiv/internal/stmt"
 	"pgiv/internal/value"
 )
 
@@ -58,33 +59,44 @@ func (s Stats) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Exec parses src and executes it as a single-commit write statement on
-// g. Registered views observe exactly one coalesced OnChange batch; on
-// error nothing is applied.
+// Exec prepares src (through the shared statement cache) and executes it
+// as a single-commit write statement on g. Registered views observe
+// exactly one coalesced OnChange batch; on error nothing is applied.
 func Exec(g *graph.Graph, src string, params map[string]value.Value) (Stats, error) {
-	stmt, err := cypher.ParseStatement(src)
+	w, err := stmt.Write(src)
+	if errors.Is(err, stmt.ErrNotWrite) {
+		return Stats{}, fmt.Errorf("write: statement has no write clause (evaluate read queries with Snapshot or RegisterView)")
+	}
 	if err != nil {
 		return Stats{}, err
 	}
-	if !stmt.IsWrite() {
-		return Stats{}, fmt.Errorf("write: statement has no write clause (evaluate read queries with Snapshot or RegisterView)")
-	}
-	return ExecStatement(g, stmt.Write, params)
+	return ExecPrepared(g, w, params)
 }
 
-// ExecStatement executes an already-parsed write statement in its own
-// transaction.
-func ExecStatement(g *graph.Graph, w *cypher.WriteStatement, params map[string]value.Value) (Stats, error) {
+// ExecPrepared executes a prepared write statement in its own
+// transaction. The prepared statement is only read, so one value serves
+// any number of executions.
+func ExecPrepared(g *graph.Graph, w *stmt.WriteStmt, params map[string]value.Value) (Stats, error) {
 	var st Stats
 	err := g.Batch(func(tx *graph.Tx) error {
 		var err error
-		st, err = ExecTx(g, tx, w, params)
+		st, err = execTx(g, tx, w, params)
 		return err
 	})
 	if err != nil {
 		return Stats{}, err
 	}
 	return st, nil
+}
+
+// ExecStatement executes an already-parsed write statement in its own
+// transaction.
+func ExecStatement(g *graph.Graph, w *cypher.WriteStatement, params map[string]value.Value) (Stats, error) {
+	p, err := prepare(w)
+	if err != nil {
+		return Stats{}, err
+	}
+	return ExecPrepared(g, p, params)
 }
 
 // ExecTx applies a write statement through an already-open transaction
@@ -94,13 +106,31 @@ func ExecStatement(g *graph.Graph, w *cypher.WriteStatement, params map[string]v
 // commits, state-wise. Errors leave the transaction open; the caller
 // decides to roll back.
 func ExecTx(g *graph.Graph, mut graph.Mutator, w *cypher.WriteStatement, params map[string]value.Value) (Stats, error) {
+	p, err := prepare(w)
+	if err != nil {
+		return Stats{}, err
+	}
+	return execTx(g, mut, p, params)
+}
+
+// prepare compiles the reading prefix of a statement that did not come
+// through the statement cache.
+func prepare(w *cypher.WriteStatement) (*stmt.WriteStmt, error) {
+	prefix, err := stmt.CompilePrefix(w.Reading)
+	if err != nil {
+		return nil, err
+	}
+	return &stmt.WriteStmt{Stmt: w, Prefix: prefix}, nil
+}
+
+func execTx(g *graph.Graph, mut graph.Mutator, w *stmt.WriteStmt, params map[string]value.Value) (Stats, error) {
 	x := &exec{g: g, mut: mut, params: params,
 		deadV: make(map[int64]bool), deadE: make(map[int64]bool)}
-	if err := x.bind(w.Reading); err != nil {
+	if err := x.bind(w.Prefix); err != nil {
 		return Stats{}, err
 	}
 	x.st.MatchedRows = len(x.rows)
-	for _, u := range w.Updates {
+	for _, u := range w.Stmt.Updates {
 		var err error
 		switch c := u.(type) {
 		case *cypher.CreateClause:
@@ -134,75 +164,20 @@ type exec struct {
 	deadE  map[int64]bool // edges deleted by this statement
 }
 
-// visibleVars lists, in first-appearance order, the variables a reading
-// prefix leaves in scope: pattern variables (nodes, fixed-length
-// relationships, named paths), UNWIND aliases, and — resetting the scope,
-// as WITH is a horizon — WITH aliases.
-func visibleVars(reading []cypher.Clause) []string {
-	var vars []string
-	seen := make(map[string]bool)
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			vars = append(vars, n)
-		}
-	}
-	for _, c := range reading {
-		switch cl := c.(type) {
-		case *cypher.MatchClause:
-			for _, p := range cl.Patterns {
-				add(p.Var)
-				for _, n := range p.Nodes {
-					add(n.Var)
-				}
-				for _, r := range p.Rels {
-					if !r.VarLength {
-						add(r.Var)
-					}
-				}
-			}
-		case *cypher.UnwindClause:
-			add(cl.Alias)
-		case *cypher.WithClause:
-			vars = vars[:0]
-			seen = make(map[string]bool)
-			for _, it := range cl.Items {
-				add(it.Alias)
-			}
-		}
-	}
-	return vars
-}
-
 // bind evaluates the reading prefix once against the current graph and
 // captures its rows as the binding table. An empty prefix yields the
-// single empty row; a prefix binding no variables still preserves row
-// multiplicity through a constant projection.
-func (x *exec) bind(reading []cypher.Clause) error {
-	if len(reading) == 0 {
+// single empty row.
+func (x *exec) bind(p *stmt.Prefix) error {
+	if p.Plan == nil {
 		x.sch, x.rows = schema.Schema{}, []value.Row{{}}
 		return nil
 	}
-	vars := visibleVars(reading)
-	items := make([]cypher.ReturnItem, 0, len(vars))
-	for _, v := range vars {
-		items = append(items, cypher.ReturnItem{Expr: &cypher.Variable{Name: v}, Alias: v})
-	}
-	if len(items) == 0 {
-		items = append(items, cypher.ReturnItem{
-			Expr: &cypher.Literal{Val: value.NewInt(1)}, Alias: "1"})
-	}
-	q := &cypher.Query{Reading: reading, Return: &cypher.ReturnClause{Items: items}}
-	plan, err := fra.Compile(q)
-	if err != nil {
-		return err
-	}
-	res, err := snapshot.Eval(x.g, plan, x.params)
+	res, err := snapshot.Eval(x.g, p.Plan, x.params)
 	if err != nil {
 		return err
 	}
 	x.sch, x.rows = res.Schema, res.Rows
-	if len(items) == 1 && len(vars) == 0 {
+	if p.ConstOnly {
 		// The constant column only carried multiplicity; hide it so
 		// update clauses cannot reference it.
 		x.sch = schema.Schema{}

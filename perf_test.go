@@ -213,3 +213,27 @@ func TestTopKRankShiftAllocs(t *testing.T) {
 		t.Errorf("TopK in-window rank shift: %.1f allocs/op, ceiling %d", avg, ceiling)
 	}
 }
+
+// TestPointSetStatementAllocs pins the statement path ROADMAP item 2
+// targets: a parameterised point SET on the scale-1 social graph —
+// statement cache hit, id() seek, one-property commit — must stay under
+// 300 allocations (it was ~3,850 while bind scanned the vertex extent).
+func TestPointSetStatementAllocs(t *testing.T) {
+	soc := workload.GenerateSocial(workload.DefaultSocialConfig(1))
+	const stmt = "MATCH (n) WHERE id(n) = $id SET n.score = $s"
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		i++
+		st, err := ExecParams(soc.G, stmt, Props{"id": Int(soc.Persons[i%len(soc.Persons)]), "s": Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MatchedRows != 1 || st.PropertiesSet != 1 {
+			t.Fatalf("stats %+v", st)
+		}
+	})
+	const ceiling = 300 // ROADMAP item 2's target; measured 36 at PR time
+	if avg > ceiling {
+		t.Errorf("point SET statement: %.1f allocs/op, ceiling %d", avg, ceiling)
+	}
+}
