@@ -406,9 +406,9 @@ func BenchmarkBatchedLoad(b *testing.B) {
 // single fine-grained property update (EXP-D's incremental side): one
 // language flip per iteration with the full social battery registered.
 // NumWorkers is pinned to 1 so the allocation trajectory is
-// scheduler-independent — the default engine resolves NumWorkers to
-// GOMAXPROCS, and the parallel path's per-commit closures would make
-// allocs/op vary by host core count.
+// scheduler-independent; the pin now holds for the default engine too,
+// since a single-op commit on these views never wakes a pool helper and
+// so allocates nothing for the scheduler (TestDefaultEngineAllocs).
 func BenchmarkEXPK_SingleUpdateFGN(b *testing.B) {
 	soc := workload.GenerateSocial(workload.DefaultSocialConfig(1))
 	engine := NewEngineWithOptions(soc.G, EngineOptions{NumWorkers: 1})

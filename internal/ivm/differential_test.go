@@ -437,13 +437,13 @@ var fuzzPanel = []string{
 
 // TestDifferentialFuzzModes is the randomized multi-mode harness: one
 // seeded stream of ≥1000 random mutations runs against the fuzzPanel
-// views in six engine configurations — per-op, batched and parallel
-// commits, each with subplan sharing on and off — asserting after every
-// commit that every view's rows are byte-identical to a fresh snapshot
-// re-evaluation. Half the views register before any data, half against
-// the populated graph (replay seeding); the graph size is capped so the
-// thousand-step stream keeps exercising add/remove churn rather than
-// growing without bound.
+// views in eight engine configurations — per-op, batched, per-op on four
+// workers and batched on four workers, each with subplan sharing on and
+// off — asserting after every commit that every view's rows are
+// byte-identical to a fresh snapshot re-evaluation. Half the views
+// register before any data, half against the populated graph (replay
+// seeding); the graph size is capped so the thousand-step stream keeps
+// exercising add/remove churn rather than growing without bound.
 func TestDifferentialFuzzModes(t *testing.T) {
 	const seed = 20260729
 	steps := 1000
@@ -467,6 +467,11 @@ func TestDifferentialFuzzModes(t *testing.T) {
 		{"per-op/private", ivm.Options{NoSharing: true, NumWorkers: 1}, false},
 		{"batched/private", ivm.Options{NoSharing: true, NumWorkers: 1}, true},
 		{"parallel/private", ivm.Options{NoSharing: true, NumWorkers: 4}, false},
+		// Batches of 20 mutations reach the fan-out threshold, so these
+		// two modes keep the pool helpers under the oracle even for
+		// commits that touch no path view.
+		{"batched-parallel/shared", ivm.Options{NumWorkers: 4}, true},
+		{"batched-parallel/private", ivm.Options{NoSharing: true, NumWorkers: 4}, true},
 	}
 	for _, mode := range modes {
 		mode := mode

@@ -15,10 +15,11 @@
 //
 // The engine subscribes to the graph's transactional change stream: each
 // committed transaction delivers one coalesced graph.ChangeSet, which the
-// engine fans out to every Rete changeset sink under a single lock
-// acquisition, then fires each view's OnChange subscribers once with the
-// commit's net delta batch. Loading 10k mutations through one g.Batch
-// therefore costs one propagation pass instead of 10k.
+// engine translates once per input node and propagates through the
+// groups of the Rete network that have work, then fires each view's
+// OnChange subscribers once with the commit's net delta batch. Loading
+// 10k mutations through one g.Batch therefore costs one propagation pass
+// instead of 10k.
 //
 // Views share structure: every FRA subtree is fingerprinted and resolved
 // through a ref-counted subplan registry, so overlapping views attach to
@@ -33,6 +34,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pgiv/internal/checkpoint"
 	"pgiv/internal/cypher"
@@ -52,17 +54,19 @@ type Options struct {
 	// fully private node chain (ablation experiments EXP-F and EXP-L).
 	NoSharing bool
 
-	// NumWorkers bounds the propagation worker pool. With more than one
-	// worker, each committed ChangeSet is translated once per shared
-	// input node and the mutable network — partitioned into connected
-	// components of shared subtrees, so no stateful node is touched by
-	// two workers — then propagates concurrently, one component per
-	// worker. 1 preserves the fully-sequential behaviour; 0 (the
-	// default) means runtime.GOMAXPROCS(0). View contents are identical
-	// either way — only intra-commit scheduling differs. OnChange
-	// callbacks are unaffected: whatever the worker count, they fire
+	// NumWorkers bounds how many goroutines propagate one commit: the
+	// committing goroutine plus at most NumWorkers−1 pool helpers. The
+	// mutable network is partitioned into groups — connected components
+	// of shared subtrees, so no stateful node is touched by two
+	// goroutines — and a commit runs only the groups that have work.
+	// Helpers are woken only when at least two groups have work and the
+	// commit can pay for the hand-off: its ChangeSet has at least 16
+	// elements, or at least two of its active groups run a path node. Every other commit, and every commit with NumWorkers 1,
+	// propagates inline. 0 (the default) means runtime.GOMAXPROCS(0).
+	// View contents are identical either way — only intra-commit
+	// scheduling differs. OnChange callbacks are unaffected: they fire
 	// exactly once per commit per view, sequentially, on the committing
-	// goroutine, after every view's propagation has finished.
+	// goroutine, after every group has finished.
 	NumWorkers int
 }
 
@@ -73,18 +77,16 @@ type Options struct {
 // transactions; view registration is not itself serialised against
 // them).
 type Engine struct {
-	g       *graph.Graph
-	opts    Options
-	workers int // resolved NumWorkers (≥1)
+	g        *graph.Graph
+	opts     Options
+	workers  int // resolved NumWorkers (≥1)
+	fanOutAt int // fanOutElems; the crossover benchmark lowers it to force hand-offs
 
 	mu       sync.RWMutex
 	reg      *rete.SubplanRegistry
-	sinks    []rete.ChangeSink       // all live changeset sinks, creation order
-	sinkPos  map[rete.ChangeSink]int // sink → index in sinks (ordered compaction)
 	views    map[string]*View
-	viewList []*View // sorted by name: deterministic OnChange order
-	plan     *rete.PropPlan
-	released []rete.ChangeSink // sinks released by the registry, pending removal
+	viewList []*View        // sorted by name: deterministic OnChange order
+	plan     *rete.PropPlan // propagation schedule; nil until a view registers
 	closed   bool
 
 	// nextRegSeq numbers views by registration order (viewList is sorted
@@ -97,8 +99,9 @@ type Engine struct {
 	// during recovery, before any concurrent commit.
 	dur *durableState
 
-	// propagation worker pool (nil while workers == 1); started by
-	// NewEngine, stopped by Close.
+	// propagation helper pool: workers−1 goroutines, started by the
+	// first commit that fans out (never while workers == 1), stopped by
+	// Close.
 	jobs chan func()
 
 	// qs is the ad-hoc query serving state (rewrite flag, counters,
@@ -107,19 +110,15 @@ type Engine struct {
 
 	// per-commit scratch, reused across commits (dispatch is serialised
 	// by the store's writer lock)
-	sinkScratch  []rete.ChangeSink
-	viewScratch  []*View
-	transScratch map[rete.Translator][]rete.Delta
-	coalesceH    value.Hasher // flush-coalescing key scratch (flushes are sequential)
+	viewScratch []*View
+	batches     [][]rete.Delta    // translated input batches, indexed like plan.Inputs
+	active      []*rete.PropGroup // groups with work this commit
+	coalesceH   value.Hasher      // flush-coalescing key scratch (flushes are sequential)
 }
 
 // NewEngine creates an engine bound to g and subscribes it to the graph.
 func NewEngine(g *graph.Graph, opts ...Options) *Engine {
-	e := &Engine{
-		g:       g,
-		views:   make(map[string]*View),
-		sinkPos: make(map[rete.ChangeSink]int),
-	}
+	e := &Engine{g: g, views: make(map[string]*View), fanOutAt: fanOutElems}
 	if len(opts) > 0 {
 		e.opts = opts[0]
 	}
@@ -127,19 +126,20 @@ func NewEngine(g *graph.Graph, opts ...Options) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.reg = rete.NewSubplanRegistry(g, !e.opts.NoSharing, e.addSinkLocked, e.noteReleasedLocked)
+	e.reg = rete.NewSubplanRegistry(g, !e.opts.NoSharing, nil, nil)
 	g.Subscribe(e)
 	return e
 }
 
-// pool returns the propagation worker pool, starting it on first use.
+// pool returns the propagation helper pool, starting it on first use.
 // Only Apply calls pool, and commits are serialised by the store's
 // writer lock, so creation needs no extra synchronisation; Close reads
-// e.jobs only after Unsubscribe's lock barrier.
+// e.jobs only after Unsubscribe's lock barrier. The buffer holds one job
+// per helper, the most a commit sends, so fanOut never blocks on a send.
 func (e *Engine) pool() chan func() {
 	if e.jobs == nil {
-		e.jobs = make(chan func(), e.workers)
-		for i := 0; i < e.workers; i++ {
+		e.jobs = make(chan func(), e.workers-1)
+		for i := 0; i < e.workers-1; i++ {
 			go func() {
 				for job := range e.jobs {
 					job()
@@ -276,7 +276,6 @@ func (e *Engine) registerLocked(name, query string, params map[string]value.Valu
 	}
 	network, err := rete.Build(plan, e.g, e.reg, params)
 	if err != nil {
-		e.drainReleasedLocked()
 		return nil, err
 	}
 	v := &View{
@@ -292,7 +291,6 @@ func (e *Engine) registerLocked(name, query string, params map[string]value.Valu
 			// Unreachable after CheckFragment (the same expressions
 			// compiled inside rete.Build), but fail closed.
 			network.Release(e.reg)
-			e.drainReleasedLocked()
 			return nil, err
 		}
 		v.ordered = ordered
@@ -346,7 +344,6 @@ func (e *Engine) dropLocked(name string) error {
 		v.network.Prod.Unsubscribe(v.subID)
 	}
 	v.network.Release(e.reg)
-	e.drainReleasedLocked()
 	delete(e.views, name)
 	for i, lv := range e.viewList {
 		if lv == v {
@@ -356,52 +353,6 @@ func (e *Engine) dropLocked(name string) error {
 	}
 	e.plan = e.reg.BuildPropPlan()
 	return nil
-}
-
-// addSinkLocked registers a changeset sink and records its position for
-// ordered removal. Invoked by the registry for every new input or
-// transitive node; caller holds e.mu (RegisterView) or runs before the
-// engine is shared (NewEngine).
-func (e *Engine) addSinkLocked(s rete.ChangeSink) {
-	e.sinkPos[s] = len(e.sinks)
-	e.sinks = append(e.sinks, s)
-}
-
-// noteReleasedLocked collects sinks whose registry entries were released;
-// RegisterView (error path) and DropView drain the batch in one
-// compaction pass.
-func (e *Engine) noteReleasedLocked(s rete.ChangeSink) {
-	e.released = append(e.released, s)
-}
-
-// drainReleasedLocked removes the collected released sinks from the
-// routing list in one O(|sinks|) compaction pass via the position index.
-// Relative order of the surviving sinks is preserved: the rete freshness
-// optimisation relies on a subtree's input nodes preceding its transitive
-// nodes in fan-out order, so a swap-delete would be incorrect here.
-func (e *Engine) drainReleasedLocked() {
-	drop := 0
-	for _, s := range e.released {
-		if _, ok := e.sinkPos[s]; ok {
-			delete(e.sinkPos, s)
-			drop++
-		}
-	}
-	e.released = e.released[:0]
-	if drop == 0 {
-		return
-	}
-	kept := e.sinks[:0]
-	for _, s := range e.sinks {
-		if _, ok := e.sinkPos[s]; ok {
-			e.sinkPos[s] = len(kept)
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(e.sinks); i++ {
-		e.sinks[i] = nil
-	}
-	e.sinks = kept
 }
 
 // View returns a registered view by name.
@@ -637,92 +588,112 @@ func (v *View) Explain() string {
 		"== schema ==\n" + v.plan.OutSchema.String() + "\n"
 }
 
-// Apply implements graph.Listener: one committed ChangeSet is fanned
-// out to every live sink — input nodes and transitive-join nodes — then
-// each view's OnChange fires once with the commit's coalesced deltas,
-// in sorted view-name order. The routing order does not affect the final
-// state: every node computes deltas against the current memories of its
-// peers.
+// fanOutElems is the ChangeSet size from which a commit with two or
+// more active groups wakes pool helpers. BenchmarkApplyCommitSize (the
+// 15 non-path social views at scale 1, one worker against one forced
+// hand-off, 2-core host) puts the crossover here: a hand-off costs
+// +48% at 1.4 elements per commit and +10% at 2.7, breaks even from 5
+// to 11, and wins from 21 elements on (−13% at 21, −35% at 85). Path
+// groups are counted apart (see Apply): their cost does not show in
+// the ChangeSet size.
+const fanOutElems = 16
+
+// Apply implements graph.Listener: one committed ChangeSet is translated
+// once per input node, the propagation groups that have work — an input
+// edge with a non-empty batch, or a path node — run, then every watched
+// production publishes and each view's OnChange fires once with the
+// commit's coalesced deltas, in sorted view-name order.
 //
-// With NumWorkers > 1 and at least two propagation groups, the fan-out
-// is scheduled in three phases: every shared input node translates the
-// ChangeSet into its delta batch exactly once (emit-free); the mutable
-// network — partitioned into connected components of shared subtrees, so
-// two views sharing a join or transitive node land in one component —
-// propagates concurrently on the worker pool, each component applying
-// the precomputed input batches into its own edges and running its own
-// transitive sinks; then, after the barrier, every view's OnChange
-// subscribers flush sequentially on this goroutine. No stateful node is
-// ever touched by two workers; Apply returns only after every view is
+// Groups run on the committing goroutine. With NumWorkers > 1, at least
+// two active groups and a commit that can pay for a hand-off — at least
+// fanOutElems ChangeSet elements, or at least two active groups running
+// a TransitiveNode or ShortestPathNode — up to NumWorkers−1 pool helpers
+// claim groups from the same counter as the caller. A group is a
+// connected component of shared subtrees, so no stateful node is ever
+// touched by two goroutines; Apply returns only after every view is
 // consistent and every callback has run.
 func (e *Engine) Apply(cs *graph.ChangeSet) {
 	e.mu.RLock()
-	sinks := append(e.sinkScratch[:0], e.sinks...)
 	views := append(e.viewScratch[:0], e.viewList...)
 	plan := e.plan
 	dur := e.dur
 	e.mu.RUnlock()
-	e.sinkScratch = sinks
 	e.viewScratch = views
 
-	if e.workers <= 1 || plan == nil || len(plan.Groups) < 2 {
-		for _, s := range sinks {
-			s.ApplyChangeSet(cs)
-		}
-		for _, v := range views {
-			v.network.Prod.Publish(cs.Epoch())
-		}
-		for _, v := range views {
-			v.flush()
-		}
-		e.maybeCheckpoint(dur)
-		return
+	if plan != nil {
+		e.propagate(plan, cs)
 	}
-
-	// Phase 1: translate each shared input once. The batches are
-	// read-only for the rest of the commit; input emitters are bypassed.
-	if e.transScratch == nil {
-		e.transScratch = make(map[rete.Translator][]rete.Delta)
-	}
-	clear(e.transScratch)
-	batches := e.transScratch
-	for _, s := range sinks {
-		if t, ok := s.(rete.Translator); ok {
-			batches[t] = t.TranslateChangeSet(cs)
-		}
-	}
-	lookup := func(t rete.Translator) []rete.Delta { return batches[t] }
-
-	// Phase 2: fan the propagation groups across the worker pool. Each
-	// connected component of mutable nodes runs on exactly one worker;
-	// wg.Wait restores the commit barrier.
-	jobs := e.pool()
-	var wg sync.WaitGroup
-	wg.Add(len(plan.Groups))
-	for i := range plan.Groups {
-		grp := &plan.Groups[i]
-		jobs <- func() {
-			defer wg.Done()
-			grp.Run(cs, lookup)
-		}
-	}
-	wg.Wait()
 
 	// Publish each watched production's post-commit row set at this
-	// commit's epoch (after the barrier: every memo is final), making the
-	// new state visible to wait-free PublishedRows readers before
-	// OnChange subscribers run. Unwatched views pay one atomic load.
+	// commit's epoch (every memo is final), making the new state visible
+	// to wait-free PublishedRows readers before OnChange subscribers run.
+	// Unwatched views pay one atomic load.
 	for _, v := range views {
 		v.network.Prod.Publish(cs.Epoch())
 	}
-
-	// Phase 3: flush OnChange subscribers sequentially on the
-	// committing goroutine in sorted view-name order, preserving the
-	// published callback contract (synchronous, never concurrent,
-	// deterministic order) regardless of NumWorkers. The barrier above
-	// makes every view's pending buffer complete and visible here.
+	// Flush OnChange subscribers sequentially on the committing goroutine
+	// in sorted view-name order, preserving the published callback
+	// contract (synchronous, never concurrent, deterministic order)
+	// regardless of NumWorkers.
 	for _, v := range views {
 		v.flush()
 	}
 	e.maybeCheckpoint(dur)
+}
+
+// propagate translates each input once, selects the groups with work and
+// runs them, inline or fanned out (see Apply).
+func (e *Engine) propagate(plan *rete.PropPlan, cs *graph.ChangeSet) {
+	batches := e.batches[:0]
+	for _, t := range plan.Inputs {
+		batches = append(batches, t.TranslateChangeSet(cs))
+	}
+	active := e.active[:0]
+	paths := 0
+	for i := range plan.Groups {
+		if g := &plan.Groups[i]; g.Active(batches) {
+			active = append(active, g)
+			if g.RunsPaths() {
+				paths++
+			}
+		}
+	}
+	e.batches, e.active = batches, active
+
+	helpers := 0
+	if len(active) >= 2 && (cs.Len() >= e.fanOutAt || paths >= 2) {
+		helpers = min(e.workers, len(active)) - 1
+	}
+	if helpers == 0 {
+		for _, g := range active {
+			g.Run(cs, batches)
+		}
+		return
+	}
+	e.fanOut(helpers, active, cs, batches)
+}
+
+// fanOut runs the active groups on the caller plus helpers pool
+// goroutines, each claiming the next unclaimed group from one shared
+// counter; wg.Wait is the commit barrier. The batches are read-only for
+// the rest of the commit.
+func (e *Engine) fanOut(helpers int, active []*rete.PropGroup, cs *graph.ChangeSet, batches [][]rete.Delta) {
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < len(active); i = int(next.Add(1)) - 1 {
+			active[i].Run(cs, batches)
+		}
+	}
+	job := func() {
+		defer wg.Done()
+		run()
+	}
+	jobs := e.pool()
+	wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		jobs <- job
+	}
+	run()
+	wg.Wait()
 }

@@ -155,7 +155,7 @@ func (b *builder) newEntry(fp string, e *SubplanEntry) *SubplanEntry {
 func (b *builder) link(parent *SubplanEntry, node Receiver, port int, child *SubplanEntry) {
 	edge := child.p.addSucc(node, port)
 	parent.children = append(parent.children, childLink{child: child, edge: edge})
-	if !b.created[child] || child.isInput {
+	if !b.created[child] || child.trans != nil {
 		b.nw.seeds = append(b.nw.seeds, seedEdge{seed: child.seed, edge: edge})
 	}
 }
@@ -215,16 +215,16 @@ func (b *builder) build(op nra.Op) (*SubplanEntry, error) {
 	switch o := op.(type) {
 	case *nra.Unit:
 		n := &UnitInput{}
-		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, sink: n, trans: n, isInput: true}), nil
+		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, trans: n}), nil
 
 	case *nra.GetVertices:
 		n := NewVertexInput(b.g, o.Labels, propKeys(o.Props))
-		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, sink: n, trans: n, isInput: true}), nil
+		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, trans: n}), nil
 
 	case *nra.GetEdges:
 		n := NewEdgeInput(b.g, o.Types, o.ALabels, o.BLabels, o.Undirected,
 			propKeys(o.AProps), propKeys(o.EProps), propKeys(o.BProps))
-		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, sink: n, trans: n, isInput: true}), nil
+		return b.newEntry(fp, &SubplanEntry{p: n, seed: n, trans: n}), nil
 
 	case *nra.TransitiveJoin:
 		in, err := b.build(o.Input)

@@ -392,7 +392,7 @@ func (n *UnitInput) Seed(target succ) {
 
 // --- batched changeset consumption ---
 //
-// The ApplyChangeSet implementations below are the native batch path:
+// The TranslateChangeSet implementations below are the native batch path:
 // one coalesced ChangeSet per commit yields one delta batch per input
 // node. Pre-transaction state is read from the per-element deltas, so
 // combined transitions (a label flip plus a property write on the same
@@ -421,17 +421,11 @@ func (n *VertexInput) beforeRowFor(d *graph.VertexDelta) value.Row {
 	return row
 }
 
-// ApplyChangeSet implements ChangeSink: every touched vertex contributes
-// a retraction of its pre-transaction row (if it matched) and an
-// assertion of its post-transaction row (if it matches), emitted as one
-// batch.
-func (n *VertexInput) ApplyChangeSet(cs *graph.ChangeSet) {
-	n.emit(n.TranslateChangeSet(cs))
-}
-
-// TranslateChangeSet implements Translator: it computes the batch
-// ApplyChangeSet would emit, without emitting. The result lives in the
-// node's reusable buffer — valid until the next commit.
+// TranslateChangeSet implements Translator: every touched vertex
+// contributes a retraction of its pre-transaction row (if it matched)
+// and an assertion of its post-transaction row (if it matches). The
+// result lives in the node's reusable buffer — valid until the next
+// commit.
 func (n *VertexInput) TranslateChangeSet(cs *graph.ChangeSet) []Delta {
 	deltas := n.outBuf()
 	for _, d := range cs.Vertices() {
@@ -581,20 +575,14 @@ type edgeCand struct {
 	d *graph.EdgeDelta
 }
 
-// ApplyChangeSet implements ChangeSink. The affected edge set is the
+// TranslateChangeSet implements Translator. The affected edge set is the
 // union of the changeset's edge deltas and the current incident edges of
 // every relevantly-changed vertex (edges removed alongside a changed
 // vertex are already edge deltas, so the union is complete). Each
 // affected edge contributes its pre-row retractions and post-row
-// assertions; identical pairs cancel.
-func (n *EdgeInput) ApplyChangeSet(cs *graph.ChangeSet) {
-	n.emit(n.TranslateChangeSet(cs))
-}
-
-// TranslateChangeSet implements Translator: it computes the batch
-// ApplyChangeSet would emit, without emitting. The result and the
-// candidate bookkeeping live in node-owned scratch reused across
-// commits — valid until the next commit.
+// assertions; identical pairs cancel. The result and the candidate
+// bookkeeping live in node-owned scratch reused across commits — valid
+// until the next commit.
 func (n *EdgeInput) TranslateChangeSet(cs *graph.ChangeSet) []Delta {
 	if n.cands == nil {
 		n.cands = make(map[graph.ID]edgeCand)
@@ -659,9 +647,6 @@ func (n *EdgeInput) TranslateChangeSet(cs *graph.ChangeSet) []Delta {
 	n.buf = deltas
 	return deltas
 }
-
-// ApplyChangeSet implements ChangeSink: the unit relation never changes.
-func (n *UnitInput) ApplyChangeSet(*graph.ChangeSet) {}
 
 // TranslateChangeSet implements Translator: the unit relation never
 // changes, so the batch is always empty.

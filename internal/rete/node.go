@@ -69,30 +69,30 @@ func (e *emitter) emit(deltas []Delta) {
 	}
 }
 
-// ChangeSink is implemented by nodes that consume committed graph
-// change sets: the input nodes (get-vertices, get-edges) and the
-// transitive-join node. The view-maintenance engine fans exactly one
-// coalesced ChangeSet per commit out to all registered sinks, so a
-// 10k-mutation batch costs each sink one invocation. ApplyChangeSet runs
-// after the whole transaction has been applied to the store; pre-state
-// is read from the per-element deltas, post-state from the live objects.
+// ChangeSink is implemented by the path nodes (TransitiveNode,
+// ShortestPathNode), which consume the committed change set directly
+// instead of through an input edge: their memoized paths read the graph,
+// so their cost does not show in any input delta batch. The engine hands
+// each sink exactly one coalesced ChangeSet per commit, after the node's
+// input edges have delivered their batches. ApplyChangeSet runs after
+// the whole transaction has been applied to the store; pre-state is read
+// from the per-element deltas, post-state from the live objects.
 type ChangeSink interface {
 	ApplyChangeSet(cs *graph.ChangeSet)
 }
 
 // Translator is implemented by the shared input nodes (get-vertices,
 // get-edges, unit): TranslateChangeSet computes the node's delta batch
-// for a committed change set without emitting it. The parallel
-// propagation scheduler translates each shared input exactly once per
-// commit and delivers the same (read-only) batch into every attached
-// view's private subtree, possibly from different goroutines.
+// for a committed change set without emitting it. The engine translates
+// each input exactly once per commit and delivers the same (read-only)
+// batch into every attached input edge, possibly from different
+// goroutines.
 //
 // The returned slice is owned by the node and valid until its next
-// TranslateChangeSet/ApplyChangeSet call — i.e. until the next commit,
-// since the store serialises transactions. Callers must not retain or
-// modify it across commits.
+// TranslateChangeSet call — i.e. until the next commit, since the store
+// serialises transactions. Callers must not retain or modify it across
+// commits.
 type Translator interface {
-	ChangeSink
 	TranslateChangeSet(cs *graph.ChangeSet) []Delta
 }
 

@@ -27,10 +27,9 @@ type SubplanEntry struct {
 	p    producer
 	seed seeder
 
-	sink    ChangeSink    // non-nil for input and transitive nodes
+	sink    ChangeSink    // non-nil for path (transitive, shortest-path) nodes
 	trans   Translator    // non-nil for input nodes
 	counter memoryCounter // non-nil for stateful nodes
-	isInput bool
 
 	production *Production // non-nil only for production entries
 
@@ -74,14 +73,14 @@ type SubplanRegistry struct {
 	seq     int
 	entries map[string]*SubplanEntry
 
-	onNew     func(ChangeSink) // invoked for every new changeset-consuming node
+	onNew     func(ChangeSink) // invoked for every new path sink
 	onRelease func(ChangeSink) // invoked when such a node's entry is released
 }
 
 // NewSubplanRegistry builds a registry. onNew is called for every newly
-// created changeset sink (input and transitive nodes) so the engine can
-// route committed change sets to it; onRelease is called when the last
-// view using such a node drops.
+// created path sink and onRelease when the last view using one drops;
+// either may be nil. The engine passes nil for both: it routes change
+// sets through BuildPropPlan instead.
 func NewSubplanRegistry(g *graph.Graph, sharing bool, onNew, onRelease func(ChangeSink)) *SubplanRegistry {
 	return &SubplanRegistry{
 		g: g, sharing: sharing,
@@ -191,40 +190,59 @@ func (r *SubplanRegistry) Candidates() []Candidate {
 
 // --- propagation plan ---
 
-// PropPlan partitions the live network into independently propagatable
-// groups for the parallel scheduler. Input (alpha) nodes are stateless
-// and excluded: each commit they are translated once, and their read-only
-// delta batches are delivered into every group that consumes them. All
-// remaining nodes are partitioned by connected components of the
-// successor graph — two views sharing any stateful subtree land in one
-// group, so no mutable node is ever touched by two workers.
+// PropPlan is the engine's propagation schedule. Inputs lists the live
+// input (alpha) nodes in creation order; each commit translates every
+// one of them exactly once, into a batch slice indexed like Inputs.
+// Every other node is partitioned into Groups by connected components of
+// the successor graph — two views sharing any stateful subtree land in
+// one group, so a group can run on any goroutine without touching
+// another group's nodes.
 type PropPlan struct {
+	Inputs []Translator
 	Groups []PropGroup
 }
 
 // PropGroup is one connected component of mutable nodes: the input edges
-// feeding it (in deterministic creation order) and its transitive-join
-// sinks (in creation order, which places every node after the inputs of
-// its own subtree — the ordering the transitive freshness window relies
-// on).
+// feeding it (in deterministic creation order, each naming its input by
+// index into PropPlan.Inputs) and its path sinks (in creation order).
 type PropGroup struct {
 	inputs []inputEdge
 	sinks  []ChangeSink
 }
 
 type inputEdge struct {
-	t    Translator
+	in   int // index into PropPlan.Inputs and the per-commit batches
 	edge succ
 }
 
-// Run propagates one committed change set through the group: the
-// precomputed input batches are applied into the group's edges, then the
-// group's transitive sinks consume the change set directly. batch returns
-// the commit's translated delta batch of an input node (read-only,
-// shared across groups).
-func (g *PropGroup) Run(cs *graph.ChangeSet, batch func(Translator) []Delta) {
+// Active reports whether the group has work in a commit whose translated
+// input batches are batches: an input edge with a non-empty batch, or a
+// path sink, which reads the change set itself.
+func (g *PropGroup) Active(batches [][]Delta) bool {
+	if len(g.sinks) > 0 {
+		return true
+	}
 	for _, ie := range g.inputs {
-		if ds := batch(ie.t); len(ds) > 0 {
+		if len(batches[ie.in]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// RunsPaths reports whether the group holds a path sink (a TransitiveNode
+// or ShortestPathNode), whose cost the input batches do not show.
+func (g *PropGroup) RunsPaths() bool { return len(g.sinks) > 0 }
+
+// Run propagates one committed change set through the group: the
+// translated input batches (read-only, shared across groups) are applied
+// into the group's edges, then the group's path sinks consume the change
+// set directly. Inputs run before sinks: a path node that activates a
+// source from a left delta marks it fresh, and its ApplyChangeSet relies
+// on that mark to skip re-enumerating the source.
+func (g *PropGroup) Run(cs *graph.ChangeSet, batches [][]Delta) {
+	for _, ie := range g.inputs {
+		if ds := batches[ie.in]; len(ds) > 0 {
 			ie.edge.node.Apply(ie.edge.port, ds)
 		}
 	}
@@ -233,7 +251,7 @@ func (g *PropGroup) Run(cs *graph.ChangeSet, batch func(Translator) []Delta) {
 	}
 }
 
-// BuildPropPlan computes the current propagation partition. The engine
+// BuildPropPlan computes the current propagation schedule. The engine
 // rebuilds it whenever a view registers or drops; commits only read it.
 func (r *SubplanRegistry) BuildPropPlan() *PropPlan {
 	entries := make([]*SubplanEntry, 0, len(r.entries))
@@ -255,56 +273,43 @@ func (r *SubplanRegistry) BuildPropPlan() *PropPlan {
 		parent[e] = root
 		return root
 	}
-	union := func(a, b *SubplanEntry) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
+	plan := &PropPlan{}
+	inputIdx := make(map[*SubplanEntry]int)
 	for _, e := range entries {
-		if e.isInput {
+		if e.trans != nil {
+			inputIdx[e] = len(plan.Inputs)
+			plan.Inputs = append(plan.Inputs, e.trans)
 			continue
 		}
 		for _, cl := range e.children {
-			if !cl.child.isInput {
-				union(e, cl.child)
+			if cl.child.trans == nil {
+				if ra, rb := find(e), find(cl.child); ra != rb {
+					parent[rb] = ra
+				}
 			}
 		}
 	}
-
-	groupOf := make(map[*SubplanEntry]*PropGroup)
-	var groups []*PropGroup
-	group := func(e *SubplanEntry) *PropGroup {
-		root := find(e)
-		g := groupOf[root]
-		if g == nil {
-			g = &PropGroup{}
-			groupOf[root] = g
-			groups = append(groups, g)
-		}
-		return g
-	}
+	groupOf := make(map[*SubplanEntry]int)
 	for _, e := range entries {
-		if e.isInput {
+		if e.trans != nil {
 			continue
 		}
-		g := group(e)
+		root := find(e)
+		gi, ok := groupOf[root]
+		if !ok {
+			gi = len(plan.Groups)
+			groupOf[root] = gi
+			plan.Groups = append(plan.Groups, PropGroup{})
+		}
+		g := &plan.Groups[gi]
 		for _, cl := range e.children {
-			if cl.child.isInput {
-				g.inputs = append(g.inputs, inputEdge{t: cl.child.trans, edge: cl.edge})
+			if cl.child.trans != nil {
+				g.inputs = append(g.inputs, inputEdge{in: inputIdx[cl.child], edge: cl.edge})
 			}
 		}
 		if e.sink != nil {
 			g.sinks = append(g.sinks, e.sink)
 		}
-	}
-
-	plan := &PropPlan{Groups: make([]PropGroup, 0, len(groups))}
-	for _, g := range groups {
-		if len(g.inputs) == 0 && len(g.sinks) == 0 {
-			continue
-		}
-		plan.Groups = append(plan.Groups, *g)
 	}
 	return plan
 }

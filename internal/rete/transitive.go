@@ -155,7 +155,7 @@ func (n *TransitiveNode) Apply(port int, deltas []Delta) {
 			// A source activated mid-commit enumerates against the already
 			// fully-applied graph; mark it so this commit's batch pass does
 			// not re-enumerate it (left deltas always precede the node's
-			// own ApplyChangeSet — inputs are registered first).
+			// own ApplyChangeSet — PropGroup.Run runs inputs before sinks).
 			st = &srcState{frags: n.computeFrags(id), fresh: true, sortedDirty: true}
 			st.edges = buildEdgeIndex(st.frags)
 			n.sources[id] = st

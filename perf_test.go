@@ -1,11 +1,12 @@
 // Tests for the delta hot path work: propagation-mode determinism (the
 // same operation stream must yield byte-identical views whether commits
-// propagate per-op, batched, or across the parallel worker pool) and
-// allocation regression pins for the two hottest update paths.
+// propagate per-op, batched, inline or across the helper pool) and
+// allocation regression pins for the hottest update paths.
 package pgiv
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pgiv/internal/expr"
@@ -15,12 +16,12 @@ import (
 )
 
 // TestPropagationModeDeterminism drives the identical social operation
-// stream (load + churn) through three engines — per-op sequential,
-// batched sequential, and per-op parallel with four workers — and
-// asserts every view of the battery materialises byte-identical rows.
-// The parallel scheduler may interleave per-view work arbitrarily, but
-// each view's subtree is single-threaded per commit, so the final
-// contents must not depend on the mode.
+// stream (load + churn) through four engines — per-op and batched, each
+// with one worker and with four — and asserts every view of the battery
+// materialises byte-identical rows. The batched four-worker engine fans
+// its commits out to the helper pool, which may interleave per-group
+// work arbitrarily, but each group is single-threaded per commit, so
+// the final contents must not depend on the mode.
 func TestPropagationModeDeterminism(t *testing.T) {
 	cfg := workload.SocialConfig{
 		Persons: 30, PostsPerPerson: 3, RepliesPerPost: 5,
@@ -51,6 +52,7 @@ func TestPropagationModeDeterminism(t *testing.T) {
 	perOp := run(EngineOptions{NumWorkers: 1}, false)
 	batched := run(EngineOptions{NumWorkers: 1}, true)
 	parallel := run(EngineOptions{NumWorkers: 4}, false)
+	batchedParallel := run(EngineOptions{NumWorkers: 4}, true)
 
 	assertSameRows := func(mode string, got map[string][]Row) {
 		t.Helper()
@@ -68,22 +70,33 @@ func TestPropagationModeDeterminism(t *testing.T) {
 	}
 	assertSameRows("batched", batched)
 	assertSameRows("parallel(4)", parallel)
+	assertSameRows("batched-parallel(4)", batchedParallel)
 }
 
-// TestOnChangeOncePerCommitParallel asserts the parallel scheduler fires
-// each view's OnChange exactly once per effective commit.
+// TestOnChangeOncePerCommitParallel asserts that commits fanned out to
+// the helper pool fire each view's OnChange exactly once per effective
+// commit. Every commit flips the language of 16 comments in one batch —
+// 16 ChangeSet elements, enough to fan out — under two views whose
+// groups both have work.
 func TestOnChangeOncePerCommitParallel(t *testing.T) {
 	g := NewGraph()
 	engine := NewEngineWithOptions(g, EngineOptions{NumWorkers: 4})
 	defer engine.Close()
 	post := g.AddVertex([]string{"Post"}, Props{"lang": Str("en")})
-	comm := g.AddVertex([]string{"Comm"}, Props{"lang": Str("en")})
-	if _, err := g.AddEdge(post, comm, "REPLY", nil); err != nil {
-		t.Fatal(err)
+	var comms []ID
+	for i := 0; i < 16; i++ {
+		comm := g.AddVertex([]string{"Comm"}, Props{"lang": Str("en")})
+		if _, err := g.AddEdge(post, comm, "REPLY", nil); err != nil {
+			t.Fatal(err)
+		}
+		comms = append(comms, comm)
 	}
-	const q = "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
-	fires := make([]int, 2)
-	for i := 0; i < 2; i++ {
+	queries := []string{
+		"MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c",
+		"MATCH (c:Comm) RETURN c.lang, count(*)",
+	}
+	fires := make([]int, len(queries))
+	for i, q := range queries {
 		i := i
 		v := mustRegisterT(t, engine, fmt.Sprintf("v%d", i), q)
 		v.OnChange(func([]Delta) { fires[i]++ })
@@ -93,7 +106,15 @@ func TestOnChangeOncePerCommitParallel(t *testing.T) {
 		if flip%2 == 1 {
 			lang = Str("en")
 		}
-		if err := g.SetVertexProperty(comm, "lang", lang); err != nil {
+		err := g.Batch(func(tx *Tx) error {
+			for _, c := range comms {
+				if err := tx.SetVertexProperty(c, "lang", lang); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,8 +129,39 @@ func TestOnChangeOncePerCommitParallel(t *testing.T) {
 // paths at their post-optimisation allocation counts (scratch-buffer key
 // encoding, typed adjacency, pooled emit buffers) with ~25%% headroom;
 // an accidental reintroduction of per-call key strings or adjacency
-// copies trips them. Both pin the sequential engine so the counts are
-// scheduler-independent.
+// copies trips them. They pin NumWorkers to 1, which no longer changes
+// the counts: a single-op commit runs inline on every engine, and
+// TestDefaultEngineAllocs holds the default engine to the same figure.
+
+// TestDefaultEngineAllocs pins the default engine (NumWorkers 0, here
+// two workers) to the sequential engine's allocation count on a
+// single-edge update whose commits give two groups work: an inline
+// commit must not pay for the helper pool it does not use.
+func TestDefaultEngineAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	measure := func(engine func(*Graph) *Engine) float64 {
+		soc := workload.GenerateSocial(workload.DefaultSocialConfig(1))
+		e := engine(soc.G)
+		defer e.Close()
+		mustRegisterT(t, e, "knows", "MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN a, b")
+		mustRegisterT(t, e, "lonely", workload.SocialQueries["lonely"])
+		a, b := soc.Persons[0], soc.Persons[1]
+		return testing.AllocsPerRun(200, func() {
+			id, err := soc.G.AddEdge(a, b, "KNOWS", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := soc.G.RemoveEdge(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	def := measure(NewEngine)
+	seq := measure(func(g *Graph) *Engine { return NewEngineWithOptions(g, EngineOptions{NumWorkers: 1}) })
+	if def != seq {
+		t.Errorf("single-edge update: default engine %.1f allocs/op, NumWorkers 1 engine %.1f", def, seq)
+	}
+}
 
 // TestJoinProbeAllocs pins the join-probe path: churning a KNOWS edge
 // through a two-hop join view (two indexed memories probed per delta).
