@@ -14,3 +14,7 @@ func (e *Engine) PoolStarted() bool { return e.jobs != nil }
 // or more active groups fans out (fanOutElems by default). Call it
 // before the first commit.
 func (e *Engine) SetFanOutAt(n int) { e.fanOutAt = n }
+
+// PublishRebuilds reports how many times the view's production rebuilt
+// its canonical row slice by sorting the whole bag.
+func (v *View) PublishRebuilds() int { return v.network.Prod.Rebuilds() }

@@ -415,12 +415,11 @@ func (v *View) Rows() []value.Row {
 }
 
 // rankOrdered maps a canonical-order slice to rank order through the
-// view's identity cache. The production rebuilds its cached slice only
-// when a commit touched the view, so slice identity doubles as a dirty
-// flag for the rank-order cache: repeated reads between commits re-sort
-// nothing. Publication hands out the same slices the legacy cache holds,
-// so wait-free PublishedRows readers and locked Rows readers share one
-// sorted copy.
+// view's identity cache. The production writes a fresh slice only when
+// a commit changed the view, so slice identity doubles as a dirty flag
+// for the rank-order cache: repeated reads between commits re-sort
+// nothing. Rows and publication hand out the same slice, so wait-free
+// PublishedRows readers and locked Rows readers share one sorted copy.
 func (v *View) rankOrdered(rows []value.Row) []value.Row {
 	v.orderedMu.Lock()
 	defer v.orderedMu.Unlock()

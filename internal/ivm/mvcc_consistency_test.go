@@ -152,6 +152,14 @@ func TestSnapshotConsistencyFuzz(t *testing.T) {
 						return
 					}
 					lastPub[i] = e
+					// The digest sorts unordered rows, so check here that the
+					// published slice itself is in canonical order.
+					for j := 1; j < len(rows) && !ordered[i]; j++ {
+						if value.CompareRows(rows[j-1], rows[j]) > 0 {
+							t.Errorf("reader %d: view %d at epoch %d: published rows %d and %d out of canonical order", r, i, e, j-1, j)
+							return
+						}
+					}
 					obs[r] = append(obs[r], observation{e, consistencyPanel[i], digestRows(rows, ordered[i]), "pub"})
 				}
 			}

@@ -17,7 +17,7 @@
 package rete
 
 import (
-	"sort"
+	"slices"
 
 	"pgiv/internal/value"
 )
@@ -68,8 +68,8 @@ func (m *memory) apply(row value.Row, mult int) (old, new int) {
 }
 
 // rows returns the bag contents in canonical sorted order, each row
-// repeated by its multiplicity. Production caches the result behind a
-// dirty flag; this always rebuilds.
+// repeated by its multiplicity. It always rebuilds, and it is the only
+// routine that does: Production merges later deltas into its result.
 func (m *memory) rows() []value.Row {
 	out := make([]value.Row, 0, len(m.items))
 	for _, e := range m.items {
@@ -77,7 +77,7 @@ func (m *memory) rows() []value.Row {
 			out = append(out, e.row)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return value.CompareRows(out[i], out[j]) < 0 })
+	slices.SortFunc(out, value.CompareRows)
 	return out
 }
 

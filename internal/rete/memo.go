@@ -485,13 +485,12 @@ func (p *Production) RestoreMemo(m *NodeMemo) error {
 	if p.mem.size() != 0 {
 		return errMemoNotEmpty
 	}
+	p.rowsMu.Lock()
 	for _, r := range m.Rows {
 		p.mem.apply(r.Row, r.Mult)
 	}
-	p.rowsMu.Lock()
-	p.dirty = true
-	p.pubStale = true
-	p.sorted = nil
+	p.base = nil
+	p.dropLog()
 	p.rowsMu.Unlock()
 	return nil
 }
