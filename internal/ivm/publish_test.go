@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pgiv/internal/graph"
 	"pgiv/internal/ivm"
 	"pgiv/internal/snapshot"
 	"pgiv/internal/value"
@@ -73,5 +74,45 @@ func TestWatchedCommitsNeverResort(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPublishedKindChange: a view row whose value changes kind but not
+// value (Int 1 to Float 1.0) keeps its bag key, yet the row changes.
+// Here y changes in the same commit, so the input row changes and the
+// projection hands the production a retraction of 1 and an assertion
+// of 1.0 under one key. The watched view must publish the Float, as a
+// from-scratch query does, not keep the Int it published before.
+func TestPublishedKindChange(t *testing.T) {
+	const q = "MATCH (n:N) WHERE n.y > 0 RETURN n.x"
+	g := graph.New()
+	a := g.AddVertex([]string{"N"}, map[string]value.Value{"x": value.NewInt(1), "y": value.NewInt(1)})
+	g.AddVertex([]string{"N"}, map[string]value.Value{"x": value.NewInt(2), "y": value.NewInt(1)})
+	engine := ivm.NewEngine(g)
+	defer engine.Close()
+	v, err := engine.RegisterView("x", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Watch()
+	tx := g.Begin()
+	if err := tx.SetVertexProperty(a, "x", value.NewFloat(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetVertexProperty(a, "y", value.NewInt(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := snapshot.Query(g, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, _ := v.PublishedRows()
+	for _, got := range [][]value.Row{rows, v.Rows()} {
+		if len(got) != 2 || got[0][0].Kind() != value.KindFloat || want.Rows[0][0].Kind() != value.KindFloat {
+			t.Fatalf("view rows %v, from scratch %v: want the Float 1.0 in both", got, want.Rows)
+		}
 	}
 }

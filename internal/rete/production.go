@@ -8,15 +8,18 @@ import (
 	"pgiv/internal/value"
 )
 
-// mergeMax is the most deltas a watched production logs between two
-// folds. Past it the log is dropped and the next fold rebuilds the
-// slice from the bag. BenchmarkPublishMerge times a fold of k logged
-// deltas into an n-row view both ways: at n = 2k the rebuild overtakes
-// the merge between k = 256 and 1,024 (1.5 vs 1.1 ms at 1,024), while
-// at n = 20k and 200k merging 1,024 deltas is 3× and 20× cheaper. The
-// largest measured k risks half a millisecond on small views to save
-// 8-280 ms on large ones.
-const mergeMax = 1024
+// mergeLimit is the most deltas a watched production whose slice holds
+// n rows logs between two folds. Past it the log is dropped and the
+// next fold rebuilds the slice from the bag. BenchmarkPublishMerge times
+// one fold of k logged deltas into an n-row view both ways; from n = 64
+// to 200k the rebuild overtakes the merge between k = n/8 and n/4
+// (merge vs rebuild at -cpu 1, k = n/8 then n/4: n = 2k, 0.35 vs 0.65
+// and 0.82 vs 0.70 ms; n = 20k, 7.0 vs 10.8 and 16.7 vs 15.3 ms;
+// n = 200k, 162 vs 308 and 330 vs 321 ms). At n/4 the two are within
+// 17% of each other. The floor of 16 keeps a small commit on a view of
+// a few rows, such as a grouped count, merging; either way costs
+// microseconds there (n = 64, k = 16: 15 vs 16 µs).
+func mergeLimit(n int) int { return max(16, n/4) }
 
 // Production is the terminal node of a view's network: it materialises
 // the view contents (a bag with multiplicities) and notifies subscribers
@@ -81,7 +84,7 @@ func (p *Production) Apply(port int, deltas []Delta) {
 		for _, d := range deltas {
 			p.mem.apply(d.Row, d.Mult)
 		}
-		if p.base != nil && p.watched.Load() && len(p.pending)+len(deltas) <= mergeMax {
+		if p.base != nil && p.watched.Load() && len(p.pending)+len(deltas) <= mergeLimit(len(p.base)) {
 			p.pending = append(p.pending, deltas...)
 		} else {
 			p.base = nil
@@ -134,8 +137,10 @@ func (p *Production) Rows() []value.Row {
 
 // Rebuilds reports how many times the production has built its
 // canonical slice by sorting the whole bag rather than merging logged
-// deltas into it. Tests pin it to show a watched view's commits cost
-// O(|Δ|) sorting, not O(|view|).
+// deltas into it. It is test instrumentation: tests pin it to show a
+// watched view's commits cost O(|Δ|) sorting, not O(|view|). It is
+// exported only because internal/ivm's tests pin it too, and one
+// package's test files cannot reach another's unexported fields.
 func (p *Production) Rebuilds() int {
 	p.rowsMu.Lock()
 	defer p.rowsMu.Unlock()
@@ -160,105 +165,132 @@ func (p *Production) dropLog() {
 	p.pending = p.pending[:0]
 }
 
-// keyRun is one distinct row of the pending log: a logged row with that
-// identity (compared, never published), its RowKey in keys[from:to],
-// and the net multiplicity the log carries for it.
-type keyRun struct {
-	row      value.Row
-	from, to int
-	net      int
-}
-
 // merge returns base with the pending log applied, in one linear pass.
-// The log is sorted and netted by strict identity — the bag's RowKey,
-// since CompareRows ties rows the bag keeps apart (NaNs with different
-// payloads, say). For each key with a nonzero net, its copies leave the
-// compare-equal run of base they sit in, and the bag's own row comes
-// back at its current multiplicity. A log that nets to nothing returns
-// base itself, so an unchanged view keeps slice identity.
+// The sorted log splits into compare-equal groups, and within a group
+// rows are told apart by the bag's RowKey, since CompareRows ties rows
+// the bag keeps apart (NaNs with different payloads, say). Each touched
+// key's copies leave base and the bag entry's own row comes back at its
+// current count, so every published row is the row the bag retains.
+// A group is copied only when a touched key's entry no longer matches
+// base's copies — another count, or another row under the same key, as
+// when SET turns Int 1 into Float 1.0 — so a commit that leaves the
+// view as it was returns base itself and keeps slice identity.
 func (p *Production) merge() []value.Row {
-	log := p.pending
+	log, base := p.pending, p.base
 	slices.SortFunc(log, func(a, b Delta) int { return value.CompareRows(a.Row, b.Row) })
-	p.keys, p.runs = p.keys[:0], p.runs[:0]
-	for i := 0; i < len(log); {
-		j := i + 1
-		for j < len(log) && value.CompareRows(log[i].Row, log[j].Row) == 0 {
-			j++
-		}
-		first := len(p.runs)
-		for _, d := range log[i:j] {
-			from := len(p.keys)
-			p.keys = value.AppendRowKey(p.keys, d.Row)
-			if k := p.find(p.runs[first:], p.keys[from:]); k >= 0 {
-				p.runs[first+k].net += d.Mult
-				p.keys = p.keys[:from]
-				continue
-			}
-			p.runs = append(p.runs, keyRun{row: d.Row, from: from, to: len(p.keys), net: d.Mult})
-		}
-		i = j
-	}
-	live, grow := p.runs[:0], 0
-	for _, r := range p.runs {
-		if r.net != 0 {
-			live = append(live, r)
-			grow += r.net
-		}
-	}
 	defer clear(p.runs)
-	if len(live) == 0 {
-		return p.base
-	}
-
-	base := p.base
-	out := make([]value.Row, 0, max(len(base)+grow, 0))
-	for i := 0; i < len(live); {
+	var out []value.Row
+	copied, pos := 0, 0 // base[:copied] is in out; the next group starts at or past pos
+	for i := 0; i < len(log); {
+		at := log[i].Row
 		j := i + 1
-		for j < len(live) && value.CompareRows(live[i].row, live[j].row) == 0 {
+		for j < len(log) && value.CompareRows(at, log[j].Row) == 0 {
 			j++
 		}
-		touched := live[i:j]
-		lo, _ := slices.BinarySearchFunc(base, live[i].row, value.CompareRows)
-		out = append(out, base[:lo]...)
-		base = base[lo:]
-		hi := 0
-		for hi < len(base) && value.CompareRows(base[hi], live[i].row) == 0 {
+		p.touch(log[i:j])
+		lo, _ := slices.BinarySearchFunc(base[pos:], at, value.CompareRows)
+		lo += pos
+		hi := lo
+		for hi < len(base) && value.CompareRows(base[hi], at) == 0 {
 			hi++
 		}
-		// Inside the run, keep the rows of untouched keys. Copies of one
-		// bag entry share their backing array, so a key is encoded once
-		// per distinct row, not once per copy.
-		keep := false
-		for k, row := range base[:hi] {
-			if k == 0 || !sameBacking(row, base[k-1]) {
-				keep = p.find(touched, p.h.RowKey(row)) < 0
+		if p.changed(base[lo:hi]) {
+			if out == nil {
+				out = make([]value.Row, 0, len(base)+len(log))
 			}
-			if keep {
-				out = append(out, row)
-			}
-		}
-		for _, r := range touched {
-			if e := p.mem.items[string(p.keys[r.from:r.to])]; e != nil {
-				for c := 0; c < e.count; c++ {
-					out = append(out, e.row)
+			out = append(out, base[copied:lo]...)
+			t := -1
+			for k, row := range base[lo:hi] {
+				if k == 0 || !sameBacking(row, base[lo+k-1]) {
+					t = p.find(p.h.RowKey(row))
+				}
+				if t < 0 {
+					out = append(out, row)
 				}
 			}
+			for _, r := range p.runs {
+				if e := p.entry(r); e != nil {
+					for c := 0; c < e.count; c++ {
+						out = append(out, e.row)
+					}
+				}
+			}
+			copied = hi
 		}
-		base = base[hi:]
-		i = j
+		pos, i = hi, j
 	}
-	return append(out, base...)
+	if out == nil {
+		return base
+	}
+	return append(out, base[copied:]...)
+}
+
+// keyRun is one distinct RowKey (keys[from:to]) the log touches in the
+// group being merged, with the copies of it base holds: had copies of
+// row. All copies of one key in base share row's backing array, since
+// both a rebuild and a merge write one bag entry's row per copy.
+type keyRun struct {
+	from, to int
+	had      int
+	row      value.Row
+}
+
+// touch loads runs with the distinct keys of one compare-equal group of
+// the log.
+func (p *Production) touch(group []Delta) {
+	clear(p.runs)
+	p.keys, p.runs = p.keys[:0], p.runs[:0]
+	for _, d := range group {
+		from := len(p.keys)
+		p.keys = value.AppendRowKey(p.keys, d.Row)
+		if p.find(p.keys[from:]) >= 0 {
+			p.keys = p.keys[:from]
+			continue
+		}
+		p.runs = append(p.runs, keyRun{from: from, to: len(p.keys)})
+	}
+}
+
+// changed counts the touched keys' copies in run, base's compare-equal
+// run for the group, and reports whether any differs from its bag entry.
+// A key is encoded once per stretch of copies sharing a backing array,
+// not once per copy.
+func (p *Production) changed(run []value.Row) bool {
+	t := -1
+	for k, row := range run {
+		if k == 0 || !sameBacking(row, run[k-1]) {
+			t = p.find(p.h.RowKey(row))
+		}
+		if t >= 0 {
+			p.runs[t].had++
+			p.runs[t].row = row
+		}
+	}
+	for _, r := range p.runs {
+		e := p.entry(r)
+		if e == nil {
+			if r.had > 0 {
+				return true
+			}
+		} else if e.count != r.had || !sameBacking(e.row, r.row) {
+			return true
+		}
+	}
+	return false
 }
 
 // find returns the index of the run whose key is k, or -1.
-func (p *Production) find(runs []keyRun, k []byte) int {
-	for i, r := range runs {
+func (p *Production) find(k []byte) int {
+	for i, r := range p.runs {
 		if string(p.keys[r.from:r.to]) == string(k) {
 			return i
 		}
 	}
 	return -1
 }
+
+// entry returns the bag entry of a touched key, nil once it is gone.
+func (p *Production) entry(r keyRun) *memEntry { return p.mem.items[string(p.keys[r.from:r.to])] }
 
 // sameBacking reports whether a and b are the same row value: equal
 // length over one backing array (all empty rows share one key).

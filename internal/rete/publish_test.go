@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,7 +67,14 @@ func checkMergeLaws(t *testing.T, p *Production, epoch uint64, kept []keptPub) {
 				value.RowString(pub.Rows[i-1]), value.RowString(pub.Rows[i]))
 		}
 	}
-	// The bag's entries are what a from-scratch memory.rows() expands.
+	// The bag's entries are what a from-scratch memory.rows() expands:
+	// each published row is its entry's own row, as many times as it
+	// counts.
+	for i, r := range pub.Rows {
+		if e := p.mem.items[value.RowKey(r)]; e == nil || !sameBacking(r, e.row) {
+			t.Fatalf("epoch %d: published row %d %v is not the row its bag entry holds", epoch, i, value.RowString(r))
+		}
+	}
 	got := keyCounts(pub.Rows)
 	if len(got) != p.mem.size() {
 		t.Fatalf("epoch %d: %d distinct published rows, bag has %d", epoch, len(got), p.mem.size())
@@ -92,10 +100,12 @@ func checkMergeLaws(t *testing.T, p *Production, epoch uint64, kept []keptPub) {
 }
 
 func TestPublishMergeTable(t *testing.T) {
-	many := func(n int) []Delta {
+	one, three := row(1), row(3)
+	// many returns n distinct single-copy rows whose second column is c.
+	many := func(n int, c int64) []Delta {
 		ds := make([]Delta, n)
 		for i := range ds {
-			ds[i] = Delta{Row: value.Row{value.NewInt(int64(100 + i)), value.NewInt(1)}, Mult: 1}
+			ds[i] = Delta{Row: value.Row{value.NewInt(int64(100 + i)), value.NewInt(c)}, Mult: 1}
 		}
 		return ds
 	}
@@ -103,7 +113,7 @@ func TestPublishMergeTable(t *testing.T) {
 		name      string
 		bag       []Delta
 		batch     []Delta
-		sameSlice bool // the batch nets to nothing
+		sameSlice bool // the batch leaves every touched bag entry as it was
 		rebuilds  int
 		check     func(rows []value.Row) error
 	}{
@@ -112,10 +122,20 @@ func TestPublishMergeTable(t *testing.T) {
 		{name: "empty batch", bag: []Delta{{oneI, 1}}, sameSlice: true},
 		{name: "multiplicities", bag: []Delta{{row(1), 3}, {row(2), 1}},
 			batch: []Delta{{row(1), -2}, {row(3), 2}, {row(0), 1}}},
-		{name: "transient pair", bag: []Delta{{row(1), 1}, {row(2), 1}},
-			batch: []Delta{{row(1), -1}, {row(3), 1}, {row(1), 1}, {row(3), -1}}, sameSlice: true},
-		{name: "int float twins are one row", bag: []Delta{{oneI, 1}},
-			batch: []Delta{{oneF, -1}, {oneF, 1}}, sameSlice: true},
+		{name: "transient pairs of the bag's rows", bag: []Delta{{one, 1}, {row(2), 1}},
+			batch: []Delta{{one, -1}, {three, 1}, {one, 1}, {three, -1}}, sameSlice: true},
+		{name: "transient pair inside a count", bag: []Delta{{one, 2}},
+			batch: []Delta{{row(1), -1}, {row(1), 1}}, sameSlice: true},
+		{name: "transient pair publishes the reasserted copy", bag: []Delta{{one, 1}, {row(2), 1}},
+			batch: []Delta{{row(1), -1}, {row(1), 1}}},
+		{name: "int turning float publishes the float", bag: []Delta{{oneI, 1}, {row(5), 1}},
+			batch: []Delta{{oneI, -1}, {oneF, 1}},
+			check: func(rows []value.Row) error {
+				if rows[0][0].Kind() != value.KindFloat {
+					return fmt.Errorf("published %v, bag holds the Float row", value.RowString(rows[0]))
+				}
+				return nil
+			}},
 		{name: "twin assert publishes the bag's row", bag: []Delta{{oneI, 1}, {row(5), 1}},
 			batch: []Delta{{oneF, 1}},
 			check: func(rows []value.Row) error {
@@ -136,8 +156,10 @@ func TestPublishMergeTable(t *testing.T) {
 			}},
 		{name: "nan retract inside its run", bag: []Delta{{nanA, 1}, {nanB, 2}, {nanA, 1}},
 			batch: []Delta{{nanA, -1}, {nanB, 1}}},
-		{name: "batch at threshold merges", bag: []Delta{{row(1), 1}}, batch: many(mergeMax)},
-		{name: "batch past threshold rebuilds", bag: []Delta{{row(1), 1}}, batch: many(mergeMax + 1), rebuilds: 1},
+		{name: "batch at the floor merges", bag: []Delta{{row(1), 1}}, batch: many(mergeLimit(1), 1)},
+		{name: "batch past the floor rebuilds", bag: []Delta{{row(1), 1}}, batch: many(mergeLimit(1)+1, 1), rebuilds: 1},
+		{name: "batch of a quarter of the view merges", bag: many(400, 2), batch: many(100, 1)},
+		{name: "batch past a quarter of the view rebuilds", bag: many(400, 2), batch: many(101, 1), rebuilds: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -219,7 +241,7 @@ func lawBatch(rng *rand.Rand, rows, twins []value.Row, model map[string]int, n i
 
 // TestPublishMergeLaw drives a watched production through random
 // commits: bags from empty to 2k distinct rows, batch sizes from 0 to
-// twice mergeMax, each commit arriving in up to three Apply calls with
+// twice mergeLimit, each commit arriving in up to three Apply calls with
 // an occasional Rows read between them. It checks the publication laws
 // after every commit and counts the rebuilds exactly.
 func TestPublishMergeLaw(t *testing.T) {
@@ -233,14 +255,15 @@ func TestPublishMergeLaw(t *testing.T) {
 			p.Watch(1)
 			kept := []keptPub{keepPub(p.Published())}
 			wantRebuilds, logged := p.Rebuilds(), 0
+			limit := mergeLimit(len(p.Rows()))
 			fold := func() {
-				if logged > mergeMax {
+				if logged > limit {
 					wantRebuilds++
 				}
-				logged = 0
+				logged, limit = 0, mergeLimit(len(p.Rows()))
 			}
 			for epoch := uint64(2); epoch < 120; epoch++ {
-				n := []int{0, 1, 2, 7, 60, mergeMax, mergeMax + 1, 2 * mergeMax}[rng.Intn(8)]
+				n := []int{0, 1, 2, 7, 60, limit, limit + 1, 2 * limit}[rng.Intn(8)]
 				batch := lawBatch(rng, rows, twins, model, n)
 				for len(batch) > 0 {
 					part := batch[:1+rng.Intn(len(batch))]
@@ -309,7 +332,9 @@ func TestPublishMergeConcurrentReaders(t *testing.T) {
 		}(r == 1)
 	}
 	for epoch := uint64(2); epoch < 300; epoch++ {
-		batch := lawBatch(rng, rows, twins, model, []int{1, 3, 40, mergeMax + 1}[rng.Intn(4)])
+		// The bag stays near 3k rows at most, so 1,000 deltas pass its
+		// merge limit and rebuild.
+		batch := lawBatch(rng, rows, twins, model, []int{1, 3, 40, 1000}[rng.Intn(4)])
 		half := len(batch) / 2
 		p.Apply(0, batch[:half])
 		p.Apply(0, batch[half:])
@@ -320,13 +345,19 @@ func TestPublishMergeConcurrentReaders(t *testing.T) {
 	checkMergeLaws(t, p, 299, nil)
 }
 
-// BenchmarkPublishMerge is the crossover behind mergeMax: one fold of a
-// log of k deltas into an n-row watched view, merged or rebuilt from the
-// bag. Each op toggles k random rows of an (n+k)-row universe, so the
-// view stays near n rows.
+// BenchmarkPublishMerge is the crossover behind mergeLimit: one fold of
+// a log of k deltas into an n-row watched view, merged or rebuilt from
+// the bag. Each op toggles k random rows of an (n+k)-row universe, so
+// the view stays near n rows. The k = n/8, n/4 and n/2 points bracket
+// the crossover at every n.
 func BenchmarkPublishMerge(b *testing.B) {
-	for _, n := range []int{2000, 20000, 200000} {
-		for _, k := range []int{1, 8, 64, 256, 1024} {
+	for _, n := range []int{64, 2000, 20000, 200000} {
+		ks := []int{1, 8, 64, 256, 1024, n / 8, n / 4, n / 2}
+		slices.Sort(ks)
+		for _, k := range slices.Compact(ks) {
+			if k > n {
+				continue
+			}
 			for _, mode := range []string{"merge", "rebuild"} {
 				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, mode), func(b *testing.B) {
 					universe := make([]value.Row, n+k)
